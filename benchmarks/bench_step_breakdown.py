@@ -23,15 +23,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_step_breakdown.py
 ``--reduced`` runs a 2-cell order-6 variant for CI smoke runs; ``--all``
 runs both variants into one file (the committed-baseline format).
 
-Each scene also records a ``selfop_assembly`` section: the median
-wall-clock of one *full reassembly* of every cell's singular
-self-interaction operator under the fused route (per cell, as the
-stepper runs it in ``selfop_assembly="fused"``) and under the
-block-circulant route (stacked over the same-order group, as the stepper
-runs it at the default ``"auto"``), plus their ratio. The regression
-gate additionally checks both the circulant row's absolute time and the
-fused/circulant speedup ratio against the committed baseline, so the
->= 2x advantage the circulant assembly was landed for stays pinned.
 ``--workers N`` adds a threaded-executor row per scene (default
 numerics on the ``"thread"`` executor with N workers) and records its
 trajectory deviation against the serial run — the executor contract
@@ -44,9 +35,9 @@ single-core host every sweep row degenerates to serial dispatch, which
 is exactly what the committed numbers should show; see the field's
 docstring). ``--backends`` adds an
 interaction-backend comparison row (``backend_compare``): the stacked
-``cell_cell`` sum of a many-cell lattice timed under ``direct``,
-``treecode`` and ``fmm`` with each accelerated backend's relative error
-against ``direct`` — 64 cells at order 8 on the full variant, 16 cells
+``cell_cell`` sum of a many-cell lattice timed under ``direct`` and
+``fmm`` with the accelerated backend's relative error against
+``direct`` — 64 cells at order 8 on the full variant, 16 cells
 at order 6 on the reduced (CI) variant. ``--check-against`` compares the
 default-config (serial) ms/step of the matching scene against a
 previously committed ``BENCH_step.json`` and exits nonzero on a
@@ -67,18 +58,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 
 import numpy as np
 
 from repro.config import NumericsOptions, ReproConfig, ResilienceOptions
-from repro.core.cellbatch import CellBatch
 from repro.core.simulation import Simulation
 from repro.physics.terms import Bending, Gravity, Tension
 from repro.surfaces import biconcave_rbc
-from repro.vesicle import SingularSelfInteraction
 
 #: ms/step measured for this scene at the end of PR 1 (DirectBackend,
 #: evaluator caching in place but the per-call synthesis hot loops
@@ -136,40 +124,6 @@ def _scene_cells(order: int, ncells: int):
         for k in range(ncells)]
 
 
-def bench_selfop_assembly(order: int, ncells: int, reps: int = 9) -> dict:
-    """Median full-reassembly time of the scene's self-operators per
-    assembly route (the ``full``-refresh component the amortization
-    interval spreads out; the dominant per-step cost before PR 5)."""
-    cells = _scene_cells(order, ncells)
-    fused = [SingularSelfInteraction(c, assembly="fused") for c in cells]
-    circ = [SingularSelfInteraction(c, assembly="circulant") for c in cells]
-    batch = CellBatch(cells)
-
-    def timed(fn):
-        samples = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            samples.append(1e3 * (time.perf_counter() - t0))
-        return round(statistics.median(samples), 2)
-
-    def circulant_pass():
-        # the stepper's default path: one stacked assembly per
-        # same-order group, consumed by the per-cell refreshes
-        batch.assemble_selfops(circ, range(ncells))
-        for op in circ:
-            op.refresh(full=True)
-
-    fused_ms = timed(lambda: [op.refresh(full=True) for op in fused])
-    circulant_ms = timed(circulant_pass)
-    return {
-        "reps": reps,
-        "fused_ms": fused_ms,
-        "circulant_ms": circulant_ms,
-        "speedup_vs_fused": round(fused_ms / circulant_ms, 2),
-    }
-
-
 #: Worker counts of the ``--workers-sweep`` rows.
 WORKERS_SWEEP = (1, 2, 4, 8)
 
@@ -200,7 +154,7 @@ def _resilience_overhead(order: int, ncells: int, steps: int) -> dict:
 def backend_compare(order: int, ncells: int, seed: int = 3) -> dict:
     """Time ``prepare + cell_cell`` of every interaction backend on an
     ``ncells``-cell lattice with a fixed random force density, and
-    measure the accelerated backends' error against ``direct``."""
+    measure the accelerated backend's error against ``direct``."""
     from repro.core.interactions import make_backend
 
     rng = np.random.default_rng(seed)
@@ -212,7 +166,7 @@ def backend_compare(order: int, ncells: int, seed: int = 3) -> dict:
     forces = [rng.normal(size=(c.n_points, 3)) for c in cells]
     out = {"order": order, "ncells": ncells}
     results = {}
-    for name in ("direct", "treecode", "fmm"):
+    for name in ("direct", "fmm"):
         be = make_backend(name).bind(cells, 1.0)
         be.prepare(forces)          # warm the per-cell evaluator caches
         t0 = time.perf_counter()
@@ -221,10 +175,9 @@ def backend_compare(order: int, ncells: int, seed: int = 3) -> dict:
         out[name + "_ms"] = round(1e3 * (time.perf_counter() - t0), 1)
     ref = results["direct"]
     norm = sum(float(np.linalg.norm(y)) ** 2 for y in ref) ** 0.5
-    for name in ("treecode", "fmm"):
-        err = sum(float(np.linalg.norm(x - y)) ** 2
-                  for x, y in zip(results[name], ref)) ** 0.5
-        out[name + "_rel_vs_direct"] = float(err / norm)
+    err = sum(float(np.linalg.norm(x - y)) ** 2
+              for x, y in zip(results["fmm"], ref)) ** 0.5
+    out["fmm_rel_vs_direct"] = float(err / norm)
     return out
 
 
@@ -271,7 +224,6 @@ def run_scene(steps: int, reduced: bool, workers: int = 0,
             "max_traj_deviation_vs_default": deviation,
         },
         "final_centroids": [c.centroid().tolist() for c in sim.cells],
-        "selfop_assembly": bench_selfop_assembly(order, ncells),
         "resilience_overhead": _resilience_overhead(order, ncells, steps),
     }
     if workers > 0:
@@ -352,34 +304,6 @@ def check_against(result: dict, baseline_path: str,
               f"{'OK' if ok else 'REGRESSION'}")
         if not ok:
             failures.append(key)
-        sa, sa_base = run_.get("selfop_assembly"), base.get("selfop_assembly")
-        if sa is not None and sa_base is not None:
-            limit = tolerance * sa_base["circulant_ms"]
-            ok = sa["circulant_ms"] <= limit
-            print(f"[check] {key} circulant assembly: "
-                  f"{sa['circulant_ms']:.1f} ms vs baseline "
-                  f"{sa_base['circulant_ms']:.1f} (limit {limit:.1f}) "
-                  f"{'OK' if ok else 'REGRESSION'}")
-            if not ok:
-                failures.append(f"{key}:selfop_assembly")
-            # the ratio pins the advantage the circulant route was landed
-            # for directly, but it divides two noisy timings, so its
-            # floor gets *squared* tolerance headroom (anticorrelated
-            # noise within each row's own 25% limit moves the ratio by up
-            # to ~tolerance^2) and is enforced only where the baseline
-            # advantage exceeds the tolerance (on the reduced smoke scene
-            # the routes are within ~25% of each other, so a floor would
-            # degenerate to "never tie" and flake on loaded CI runners)
-            if sa_base["speedup_vs_fused"] > tolerance:
-                floor = sa_base["speedup_vs_fused"] / tolerance ** 2
-                ok = sa["speedup_vs_fused"] >= floor
-                print(f"[check] {key} circulant-vs-fused advantage: "
-                      f"{sa['speedup_vs_fused']:.2f}x vs baseline "
-                      f"{sa_base['speedup_vs_fused']:.2f}x "
-                      f"(floor {floor:.2f}x) "
-                      f"{'OK' if ok else 'REGRESSION'}")
-                if not ok:
-                    failures.append(f"{key}:selfop_speedup")
         ro = run_.get("resilience_overhead")
         if ro is not None:
             # absolute gate (no baseline needed): the sentinel may cost
@@ -428,7 +352,7 @@ def main() -> None:
                     help="time the thread and process executors at workers "
                          f"in {WORKERS_SWEEP} (informational, never gated)")
     ap.add_argument("--backends", action="store_true",
-                    help="add the direct/treecode/fmm cell_cell "
+                    help="add the direct/fmm cell_cell "
                          "comparison row (64 cells full / 16 reduced)")
     ap.add_argument("--check-against", default=None, metavar="BASELINE",
                     help="fail if ms/step regresses beyond --tolerance x "
@@ -454,11 +378,6 @@ def main() -> None:
             print(f"threaded[{key}] workers={threaded['workers']}: "
                   f"{threaded['ms_per_step']:.0f} ms/step, deviation vs "
                   f"serial {threaded['max_traj_deviation_vs_serial']:.1e}")
-        sa = run_.get("selfop_assembly")
-        if sa is not None:
-            print(f"selfop assembly[{key}]: fused {sa['fused_ms']:.1f} ms, "
-                  f"circulant {sa['circulant_ms']:.1f} ms "
-                  f"({sa['speedup_vs_fused']:.2f}x)")
         ro = run_.get("resilience_overhead")
         if ro is not None:
             print(f"resilience overhead[{key}]: "
@@ -476,8 +395,6 @@ def main() -> None:
         if bc is not None:
             print(f"backends[{key}] ({bc['ncells']} cells, order "
                   f"{bc['order']}): direct {bc['direct_ms']:.0f} ms, "
-                  f"treecode {bc['treecode_ms']:.0f} ms "
-                  f"(rel {bc['treecode_rel_vs_direct']:.1e}), "
                   f"fmm {bc['fmm_ms']:.0f} ms "
                   f"(rel {bc['fmm_rel_vs_direct']:.1e})")
     if args.check_against:

@@ -1,8 +1,7 @@
 """Benchmark harness configuration.
 
-Every benchmark regenerates one table or figure of the paper (see the
-experiment index in DESIGN.md) and prints a paper-vs-measured comparison;
-run with ``pytest benchmarks/ --benchmark-only -s`` to see the rows.
+Every benchmark regenerates one table or figure of the paper and prints
+a paper-vs-measured comparison; run with ``pytest benchmarks/ --benchmark-only -s`` to see the rows.
 """
 import numpy as np
 import pytest

@@ -9,8 +9,7 @@ monotonically.
 
 The configuration is a single serializable object: ``cfg.to_json()``
 round-trips through ``ReproConfig.from_json``, so a run's physics and
-numerics can be archived next to its outputs. (The old flag-style
-``SimulationConfig`` still works but is deprecated.)
+numerics can be archived next to its outputs.
 
 Run:  python examples/quickstart.py
 """
@@ -39,12 +38,12 @@ def main() -> None:
     sim = Scenario.builder().config(cfg).cell(cell).build()
 
     # The per-cell solves (tension Schur complement, implicit bending)
-    # are direct by default: the operators are assembled as dense
-    # matrices and LU-factorized once per refresh, with the matrix-free
-    # GMRES paths kept behind cfg.numerics.direct_tension /
-    # direct_implicit. Setting cfg.numerics.selfop_refresh_interval = k
-    # reassembles the singular self-interaction operator (and those
-    # factorizations) only every k-th step, applying a first-order
+    # are direct: the operators are assembled as dense matrices and
+    # LU-factorized once per refresh, one stacked getrf pass per
+    # equal-order cell group. Setting
+    # cfg.numerics.selfop_refresh_interval = k reassembles the singular
+    # self-interaction operator (and those factorizations) only every
+    # k-th step, applying a first-order
     # geometric correction (exact for rigid motion: translation,
     # rotation, dilation) in between — about 2x faster stepping at
     # ~1e-5 trajectory deviation on the benchmark scene; k = 1 (the
@@ -97,46 +96,34 @@ def main() -> None:
     # surface operators) — off by default and near-zero-cost.
     #
     # Multi-cell scenes choose the cell-cell summation backend with
-    # cfg.backend (or .backend("name", **knobs) on the builder). All
-    # three agree to the stated accuracy and share the near-singular
+    # cfg.backend (or .backend("name", **knobs) on the builder). Both
+    # agree to the stated accuracy and share the near-singular
     # pipeline; they differ in how the smooth far field is summed.
-    # Guidance by cell count (64-cell order-16 suspension, one core;
-    # wall-clock is prepare + cell_cell per step):
+    # Guidance by cell count (one core; wall-clock is prepare +
+    # cell_cell per step, recorded in benchmarks/BENCH_step.json):
     #
     #   ncell    backend     why
     #   -------  ----------  ------------------------------------------
-    #   1-8      "direct"    exact O(ncell^2) pairwise sums; lowest
-    #                        constant, nothing to tune
-    #   8-32     "treecode"  per-source-cell octrees, O(N log N);
-    #                        crossover vs direct is ~8 cells
-    #   32+      "fmm"       one global octree, two-pass kernel-
-    #                        independent FMM, O(N): 8s vs treecode 16s
-    #                        vs direct 96s at 64 cells, rel error 3e-5
+    #   < ~16    "direct"    exact O(ncell^2) pairwise sums; lowest
+    #                        constant, nothing to tune (16 cells order
+    #                        6: direct 329 ms vs fmm 293 ms)
+    #   ~16+     "fmm"       one global octree, two-pass kernel-
+    #                        independent FMM, O(N): 1429 ms vs direct
+    #                        7460 ms at 64 cells order 8, rel error 3e-5
     #
     # The fmm backend's equiv_points_per_edge knob trades speed for
     # accuracy (4 -> ~2e-4, 5 (default) -> ~1e-5, 8 -> ~1e-7 relative
     # to direct); max_leaf (default 400) trades near-field P2P against
     # translation work and rarely needs touching.
     #
-    # cfg.numerics.selfop_assembly selects how the full reassembly is
-    # built. "auto" (the default) currently always picks "circulant" —
-    # the FFT-diagonalized block-circulant assembly, which is exact for
-    # arbitrary shapes, ~2x faster than the fused route on the
-    # order-8 benchmark scene, assembles same-order cell groups as one
-    # stacked pass, and has no memory gate, so spherical-harmonic orders
-    # of 12 and beyond (previously blocked by the fused table's ~256 MB
-    # budget at order ~10) are practical. "fused" keeps the per-target
-    # route as an independently implemented reference; all routes agree
-    # to ~1e-12. cfg.numerics.batched_lu = True (default) additionally
-    # factorizes the per-cell direct solves of an equal-order cell group
-    # in one stacked getrf pass, bit-identical to the per-cell LAPACK
-    # calls.
+    # The singular self-interaction operator is assembled by the
+    # FFT-diagonalized block-circulant route: exact for arbitrary
+    # shapes, same-order cell groups assembled as one stacked pass, and
+    # no memory gate, so spherical-harmonic orders of 12 and beyond are
+    # practical.
     n = cfg.numerics
-    print(f"direct solves  : tension={n.direct_tension} "
-          f"implicit={n.direct_implicit} "
+    print(f"amortization   : "
           f"selfop_refresh_interval={n.selfop_refresh_interval}")
-    print(f"assembly       : selfop_assembly={n.selfop_assembly!r} "
-          f"batched_lu={n.batched_lu}")
     print(f"execution      : executor={n.executor!r} workers={n.workers} "
           f"farfield_dtype={n.farfield_dtype!r}")
 
@@ -168,7 +155,7 @@ def main() -> None:
     # bounds, which findings reject a step, and the backend degradation
     # chain — on non-finite far-field output the fast summation backend
     # is permanently degraded along degradation_order
-    # (fmm -> treecode -> direct) instead of failing the run. When the
+    # (fmm -> direct) instead of failing the run. When the
     # budget or the dt floor is exhausted, step() raises
     # repro.StepRejectedError with the state rolled back, and
     # report.health / report.retries / report.substeps record what

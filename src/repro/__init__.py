@@ -3,14 +3,13 @@ vascular networks.
 
 A from-scratch Python reproduction of "Scalable Simulation of Realistic
 Volume Fraction Red Blood Cell Flows through Vascular Networks" (Lu,
-Morse, Rahimian, Stadler, Zorin — SC '19). See DESIGN.md for the system
-inventory and EXPERIMENTS.md for the paper-vs-measured record.
+Morse, Rahimian, Stadler, Zorin — SC '19).
 
 Public API highlights
 ---------------------
 - :class:`repro.Scenario` / :class:`repro.ScenarioBuilder` — the fluent
   front door: ``Scenario.builder().config(presets.shear()).cells([...])
-  .backend("treecode").build()`` returns a ready simulation.
+  .backend("fmm").build()`` returns a ready simulation.
 - :class:`repro.ReproConfig` — the single serializable configuration
   (time step, fluid, force terms, backend, numerics); validates on
   construction and round-trips through ``to_dict``/``from_dict``/JSON.
@@ -21,8 +20,8 @@ Public API highlights
   ``Tension``, ``Gravity``, ``ShearFlow``, ``BackgroundFlow``) plus a
   registry for user-defined ones.
 - :mod:`repro.core.interactions` — pluggable cell-cell interaction
-  backends: ``"direct"`` (exact pairwise) and ``"treecode"`` (far field
-  through :mod:`repro.fmm`).
+  backends: ``"direct"`` (exact pairwise) and ``"fmm"`` (one global
+  kernel-independent FMM through :mod:`repro.fmm`).
 - :class:`repro.core.Simulation` — the simulation platform the builder
   assembles.
 - :mod:`repro.resilience` — transactional stepping (health sentinel,
@@ -37,14 +36,6 @@ Public API highlights
   filling algorithm.
 - :mod:`repro.scaling` — machine models and the strong/weak scaling
   harness that regenerates the paper's Figs. 4-6.
-
-Deprecation
------------
-``repro.core.SimulationConfig`` (flag-style physics selection) is
-deprecated: ``Simulation(cells, config=SimulationConfig(...))`` still
-runs, emitting a ``DeprecationWarning`` and converting via
-:meth:`ReproConfig.from_legacy`. New code should build a
-:class:`ReproConfig` — start from a preset and compose force terms.
 """
 from . import config
 from .config import NumericsOptions, ReproConfig, ResilienceOptions

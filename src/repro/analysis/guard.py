@@ -1,7 +1,7 @@
 """Shared read-only table registry and the frozen-table context.
 
 Every ``lru_cache``'d numpy-table factory in the library (quadrature
-rules, SH transform tables, patch interpolation matrices, treecode cube
+rules, SH transform tables, patch interpolation matrices, FMM cube
 surfaces, rotation-quadrature tables, ...) hands the same arrays to
 every cell / order / thread that asks. A single in-place write through
 any of those references would silently corrupt every other user — the

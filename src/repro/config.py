@@ -32,9 +32,8 @@ DEFAULT_VISCOSITY = 1.0
 #: for speed and expose the order everywhere.
 DEFAULT_SPH_ORDER = 8
 
-#: Default tensor-product patch order (paper: 8th order, 11x11 Clenshaw-
-#: Curtis quadrature points per patch -> q = 10 panel order).
-DEFAULT_PATCH_ORDER = 8
+#: Default per-patch quadrature size (paper: 8th-order patches, 11x11
+#: Clenshaw-Curtis quadrature points per patch -> q = 10 panel order).
 DEFAULT_PATCH_QUAD = 11
 
 #: Near-singular evaluation defaults (paper Sec. 5.1): p+1 check points at
@@ -60,16 +59,14 @@ CONTACT_EPS_FACTOR = 0.5
 class NumericsOptions:
     """Bundle of numerical parameters threaded through the simulation.
 
-    Attributes mirror the symbols used in the paper: ``sph_order`` is the
-    spherical harmonic order of RBC surfaces, ``patch_quad`` the per-patch
-    Clenshaw-Curtis rule size, ``check_order`` the extrapolation order ``p``
-    of the singular quadrature scheme, ``upsample_eta`` the fine-grid
-    subdivision depth (each coarse patch splits into ``4**eta`` subpatches),
-    and ``check_r_factor`` the check point spacing ``R = r = factor * L``.
+    Attributes mirror the symbols used in the paper: ``patch_quad`` is the
+    per-patch Clenshaw-Curtis rule size, ``check_order`` the extrapolation
+    order ``p`` of the singular quadrature scheme, ``upsample_eta`` the
+    fine-grid subdivision depth (each coarse patch splits into ``4**eta``
+    subpatches), and ``check_r_factor`` the check point spacing
+    ``R = r = factor * L``.
     """
 
-    sph_order: int = DEFAULT_SPH_ORDER
-    patch_order: int = DEFAULT_PATCH_ORDER
     patch_quad: int = DEFAULT_PATCH_QUAD
     check_order: int = DEFAULT_CHECK_ORDER
     check_r_factor: float = DEFAULT_CHECK_R_FACTOR
@@ -77,42 +74,14 @@ class NumericsOptions:
     gmres_max_iter: int = GMRES_MAX_ITER
     gmres_tol: float = GMRES_TOL
     ncp_max_lcp: int = NCP_MAX_LCP
-    viscosity: float = DEFAULT_VISCOSITY
     #: Full singular self-interaction reassembly every ``k`` refreshes; the
     #: intermediate ``k - 1`` refreshes apply a first-order geometric
     #: correction (exact for rigid translation and uniform dilation) to the
     #: last assembled operator. ``1`` (the default) reassembles every step,
-    #: i.e. the exact per-step behavior.
-    selfop_refresh_interval: int = 1
-    #: Full-reassembly route of the singular self-interaction operator.
-    #: ``"circulant"`` is the FFT-diagonalized block-circulant assembly:
-    #: exact for arbitrary shapes, ~2x faster than the fused route at
-    #: order 8 and free of the fused table's memory gate, so it is what
-    #: ``"auto"`` (the default) currently always picks — orders 12+ are
-    #: practical only on this route. ``"fused"`` keeps the per-target
-    #: fused assembly of PR 3 (with its size-gated table) as the
-    #: independently-implemented reference; all routes agree to ~1e-12
-    #: (pinned by ``tests/test_selfop_equivalence.py``). Under ``"auto"``
-    #: / ``"circulant"`` the stepper additionally runs the full
+    #: i.e. the exact per-step behavior. The stepper runs the full
     #: reassemblies of same-order cell groups as one *stacked* assembly
     #: (``CellBatch.assemble_selfops``).
-    selfop_assembly: str = "auto"
-    #: Stack the per-cell direct-solve factorizations (tension Schur,
-    #: implicit ``I - dt S L``) of equal-order cell groups into one
-    #: ``(ncell, N, N)`` getrf/getrs pass instead of one LAPACK call per
-    #: cell (bit-identical solutions — same getrf/getrs on the same
-    #: matrices; tested). ``False`` restores the per-cell calls.
-    batched_lu: bool = True
-    #: Solve the tension Schur complement with a per-refresh LU
-    #: factorization of the assembled dense operator (one back-substitution
-    #: per solve) instead of the inner GMRES loop. The two paths agree to
-    #: solver tolerance; set ``False`` to force the matrix-free path.
-    direct_tension: bool = True
-    #: Factorize the implicit operator ``I - dt S L`` per (cell, dt) and
-    #: back-substitute instead of running the implicit GMRES. Falls back to
-    #: GMRES automatically when ``dt`` changes between a cell's
-    #: factorization and its solve (mid-run adaptive stepping).
-    direct_implicit: bool = True
+    selfop_refresh_interval: int = 1
     #: Executor of the per-cell stage pipeline (a key of
     #: :data:`repro.runtime.executor.EXECUTORS`): ``"serial"`` (the
     #: default) runs every per-cell task in order on the calling thread;
@@ -151,11 +120,11 @@ class NumericsOptions:
     workers: "int | str" = 1
     #: Precision of the *far-field* smooth quadrature: ``"float32"`` runs
     #: the far block of :func:`repro.kernels.stokes_slp_apply` and the
-    #: treecode equivalent-density (M2P) sums in single precision —
-    #: roughly halving their memory traffic — while every near-singular,
-    #: singular and on-surface path stays float64. Adds ~1e-6 relative
-    #: error to the far field only; ``"float64"`` (the default) is the
-    #: exact path.
+    #: FMM's far translation/evaluation GEMMs (M2L, M2P, L2P) in single
+    #: precision — roughly halving their memory traffic — while every
+    #: near-singular, singular and on-surface path stays float64. Adds
+    #: ~1e-6 relative error to the far field only; ``"float64"`` (the
+    #: default) is the exact path.
     farfield_dtype: str = "float64"
     #: Enable the runtime array-contract checks of
     #: :mod:`repro.analysis.contracts`: every ``@checked`` seam (kernel
@@ -219,7 +188,7 @@ class ResilienceOptions:
     #: right is bound in its place (the last entry — the exact pairwise
     #: ``"direct"`` sum — has nowhere to fall back to, so a non-finite
     #: direct result goes down the dt-retry path instead).
-    degradation_order: tuple = ("fmm", "treecode", "direct")
+    degradation_order: tuple = ("fmm", "direct")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResilienceOptions":
@@ -243,10 +212,9 @@ def _default_forces() -> list:
 class ReproConfig:
     """Unified, serializable configuration of a blood-flow simulation.
 
-    Replaces the deprecated ``SimulationConfig`` + loose
-    :class:`NumericsOptions` pair. Physics composes through ``forces``
-    (a list of :class:`repro.physics.terms.ForceTerm`), the cell-cell
-    summation strategy is chosen by ``backend`` (a key of
+    Physics composes through ``forces`` (a list of
+    :class:`repro.physics.terms.ForceTerm`), the cell-cell summation
+    strategy is chosen by ``backend`` (a key of
     :data:`repro.core.interactions.BACKENDS`), all numerical
     tolerances live in the nested ``numerics`` bundle, and the
     transactional-stepping policy (retry budget, dt floor, backend
@@ -270,17 +238,15 @@ class ReproConfig:
     #: :data:`repro.core.interactions.BACKENDS`). Guidance by scene
     #: size (see ``examples/quickstart.py`` for measured numbers):
     #: ``"direct"`` — exact O(ncell^2) pairwise sums; the reference,
-    #: fastest below ~8 cells. ``"treecode"`` — per-source-cell octrees
-    #: with multipole far fields, O(N log N); wins from ~8 cells.
-    #: ``"fmm"`` — one global octree with the full two-pass
-    #: kernel-independent FMM, O(N); overtakes the treecode around
-    #: 16-32 cells and is ~2x faster at 64 cells (rel error vs direct
-    #: ~3e-5 at defaults, tunable via ``equiv_points_per_edge``).
+    #: fastest below ~16 cells. ``"fmm"`` — one global octree with the
+    #: full two-pass kernel-independent FMM, O(N); overtakes direct
+    #: around 16 cells and is ~5x faster at 64 cells (rel error vs
+    #: direct ~3e-5 at defaults, tunable via ``equiv_points_per_edge``).
     backend: str = "direct"
-    #: Constructor keywords for the chosen backend (e.g. ``mac`` for
-    #: ``"treecode"``; ``equiv_points_per_edge``, ``max_leaf`` for
-    #: ``"fmm"``) — see the backend classes in
-    #: :mod:`repro.core.interactions` for the full knob list.
+    #: Constructor keywords for the chosen backend (e.g.
+    #: ``equiv_points_per_edge``, ``max_leaf`` for ``"fmm"``) — see the
+    #: backend classes in :mod:`repro.core.interactions` for the full
+    #: knob list.
     backend_options: dict = dataclasses.field(default_factory=dict)
     with_collisions: bool = True
     collision_points_per_patch_edge: int = 12
@@ -326,8 +292,6 @@ class ReproConfig:
         if not isinstance(n, NumericsOptions):
             errors.append(f"numerics must be NumericsOptions, got {n!r}")
         else:
-            if n.sph_order < 2:
-                errors.append(f"sph_order must be >= 2, got {n.sph_order}")
             if n.patch_quad < 3:
                 errors.append(f"patch_quad must be >= 3, got {n.patch_quad}")
             if n.check_order < 2:
@@ -345,12 +309,6 @@ class ReproConfig:
             if n.selfop_refresh_interval < 1:
                 errors.append("selfop_refresh_interval must be >= 1, got "
                               f"{n.selfop_refresh_interval}")
-            from .vesicle import SingularSelfInteraction
-            if n.selfop_assembly not in SingularSelfInteraction.ASSEMBLY_MODES:
-                errors.append(
-                    f"unknown selfop_assembly {n.selfop_assembly!r}; "
-                    f"expected one of "
-                    f"{SingularSelfInteraction.ASSEMBLY_MODES}")
             from .runtime.executor import EXECUTORS
             if n.executor not in EXECUTORS:
                 errors.append(f"unknown executor {n.executor!r}; "
@@ -388,11 +346,7 @@ class ReproConfig:
     # -- convenience --------------------------------------------------------
     @property
     def bending_modulus(self) -> float:
-        """Modulus of the first bending term (0.0 when bending is absent).
-
-        A property so legacy ``sim.config.bending_modulus`` attribute
-        reads keep returning a float after the shim conversion.
-        """
+        """Modulus of the first bending term (0.0 when bending is absent)."""
         from .physics.terms import Bending
         for t in self.forces:
             if isinstance(t, Bending):
@@ -431,6 +385,14 @@ class ReproConfig:
         if "forces" in d:
             d["forces"] = [force_term_from_dict(t) for t in d["forces"]]
         if "numerics" in d:
+            # Retired or misspelt knobs are rejected by name, never
+            # dropped: a config saved with a non-default value of a
+            # retired knob must not load as something else.
+            known = {f.name for f in dataclasses.fields(NumericsOptions)}
+            unknown = sorted(set(d["numerics"]) - known)
+            if unknown:
+                raise ValueError("invalid ReproConfig: unknown numerics "
+                                 f"option(s) {unknown}")
             d["numerics"] = NumericsOptions(**d["numerics"])
         if "resilience" in d:
             d["resilience"] = ResilienceOptions.from_dict(d["resilience"])
@@ -442,23 +404,3 @@ class ReproConfig:
     @classmethod
     def from_json(cls, text: str) -> "ReproConfig":
         return cls.from_dict(json.loads(text))
-
-    # -- migration ----------------------------------------------------------
-    @classmethod
-    def from_legacy(cls, legacy) -> "ReproConfig":
-        """Convert a deprecated ``SimulationConfig`` to a ``ReproConfig``."""
-        from .physics.terms import (BackgroundFlow, Bending, Gravity,
-                                    Tension)
-        forces: list = [Bending(legacy.bending_modulus)]
-        if legacy.with_tension:
-            forces.append(Tension())
-        if legacy.gravity is not None:
-            drho, gvec = legacy.gravity
-            forces.append(Gravity(drho, tuple(gvec)))
-        if legacy.background_flow is not None:
-            forces.append(BackgroundFlow(legacy.background_flow))
-        return cls(dt=legacy.dt, viscosity=legacy.viscosity, forces=forces,
-                   with_collisions=legacy.with_collisions,
-                   collision_points_per_patch_edge=(
-                       legacy.collision_points_per_patch_edge),
-                   numerics=legacy.numerics)

@@ -16,9 +16,9 @@ layer (same-order cells share stacked GEMMs) on the executor selected by
 from .timers import ComponentTimers
 from .cellbatch import CellBatch
 from .interactions import (BACKENDS, DirectBackend, InteractionBackend,
-                           TreecodeBackend, make_backend, register_backend)
+                           make_backend, register_backend)
 from .stepper import TimeStepper, StepReport
-from .simulation import Simulation, SimulationConfig
+from .simulation import Simulation
 from .scenario import Scenario, ScenarioBuilder
 
 __all__ = [
@@ -27,12 +27,10 @@ __all__ = [
     "TimeStepper",
     "StepReport",
     "Simulation",
-    "SimulationConfig",
     "Scenario",
     "ScenarioBuilder",
     "InteractionBackend",
     "DirectBackend",
-    "TreecodeBackend",
     "BACKENDS",
     "make_backend",
     "register_backend",

@@ -7,16 +7,13 @@ lives behind the :class:`InteractionBackend` protocol:
 
 - :class:`DirectBackend` — the near-singular-aware pairwise loop, O(n^2)
   in the number of cells but exact up to quadrature error.
-- :class:`TreecodeBackend` — far-field sums routed through one
-  kernel-independent treecode *per source cell*; near pairs (and the
-  self term removal) fall back to the near-singular evaluators, the
-  paper's FMM + near-correction split.
 - :class:`FMMBackend` — a single global two-pass KIFMM over all cells'
   sources (:class:`repro.fmm.GlobalKIFMM`), with exact float64 self
-  subtraction and near-scheme deltas layered on top; the O(N) choice
-  once the suspension outgrows a dozen cells.
+  subtraction and near-scheme deltas layered on top (the paper's FMM +
+  near-correction split); the O(N) choice once the suspension outgrows
+  a dozen cells.
 
-All cache one :class:`~repro.vesicle.CellNearEvaluator` per cell across
+Both cache one :class:`~repro.vesicle.CellNearEvaluator` per cell across
 steps (rebuilding them every step was a measurable hot-path cost) and
 upsample each cell's force density to the fine grid once per step,
 reusing it for every target batch.
@@ -42,7 +39,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
-from ..fmm import GlobalKIFMM, KernelIndependentTreecode
+from ..fmm import GlobalKIFMM
 from ..kernels import stokes_slp_apply
 from ..runtime.executor import Executor, SerialExecutor
 from ..runtime.partition import partition_by_morton
@@ -303,198 +300,15 @@ class DirectBackend(InteractionBackend):
         return b
 
 
-class NearZoneMixin:
-    """Conservative bounding-sphere near-zone classification, shared by
-    every tree-accelerated backend: a target is *possibly near* source
-    cell ``j`` when it falls inside ``j``'s bounding sphere inflated by
-    ``near_safety`` times the cell's near-scheme distance. Only those
-    targets are handed to the near-singular machinery."""
-
-    near_safety: float
-    cells: List[SpectralSurface]
-    evaluators: List[CellNearEvaluator]
-
-    def _bounding_spheres(self) -> None:
-        centers, radii = [], []
-        for c in self.cells:
-            pts = c.points
-            ctr = pts.mean(axis=0)
-            centers.append(ctr)
-            radii.append(float(np.linalg.norm(pts - ctr, axis=1).max()))
-        self._centers = np.asarray(centers)
-        self._radii = np.asarray(radii)
-
-    def _near_cutoffs(self) -> np.ndarray:
-        """Per-source near-zone radius (bounding sphere + near distance)."""
-        return self._radii + self.near_safety * np.array(
-            [ev.near_distance for ev in self.evaluators])
-
-    def _near_mask(self, j: int, targets: np.ndarray) -> np.ndarray:
-        """Targets that may fall in source cell j's near-evaluation zone."""
-        d = np.linalg.norm(targets - self._centers[j], axis=1)
-        return d < self._near_cutoffs()[j]
-
-
 @register_backend
-class TreecodeBackend(NearZoneMixin, InteractionBackend):
-    """Far field through the KIFMM treecode, near pairs exact.
-
-    One treecode is built per source cell per step over that cell's fine
-    quadrature sources. Targets in a source cell's near zone (by a
-    conservative bounding-sphere test) go through the near-singular
-    evaluator; all other targets are summed through the tree, whose
-    multipole acceptance collapses a far cell to a handful of
-    equivalent-density boxes. A cell's own sources never enter its
-    right-hand side, so there is no self-term subtraction (the global
-    tree of :class:`FMMBackend` needs one, and neutralizes the
-    cancellation against the on-surface smooth sum by pairing it with
-    an exact float64 subtraction).
-
-    Parameters mirror :class:`repro.fmm.KernelIndependentTreecode`;
-    ``near_safety`` scales the bounding-sphere gap below which a pair is
-    treated as near.
-    """
-
-    name = "treecode"
-
-    def __init__(self, mac: float = 3.0, equiv_points_per_edge: int = 5,
-                 max_leaf: int = 64, near_safety: float = 1.5):
-        super().__init__()
-        self.mac = float(mac)
-        self.equiv_points_per_edge = int(equiv_points_per_edge)
-        self.max_leaf = int(max_leaf)
-        self.near_safety = float(near_safety)
-        self._trees: List[KernelIndependentTreecode] = []
-        self._centers: Optional[np.ndarray] = None
-        self._radii: Optional[np.ndarray] = None
-
-    def options(self) -> dict:
-        return {"mac": self.mac,
-                "equiv_points_per_edge": self.equiv_points_per_edge,
-                "max_leaf": self.max_leaf,
-                "near_safety": self.near_safety}
-
-    def prepare(self, forces: Sequence[np.ndarray]) -> None:
-        super().prepare(forces)
-        self._bounding_spheres()
-        self._trees = []
-        if self._source_shards() is None:
-            # Eager parent-side builds for the inline path. Under
-            # process sharding each worker builds its own shard's trees
-            # instead (shardwork.TreecodeShard), so building them here
-            # too would double the work; evaluate_at falls back to a
-            # lazy build when it needs them (see _masked_velocity).
-            self._build_trees()
-
-    def _build_trees(self) -> None:
-        # Per-source tree builds (upward pass included) are independent
-        # tasks; the far-field dtype only affects evaluation, the fits
-        # stay float64.
-        self._trees = self.executor.map(
-            lambda j: KernelIndependentTreecode(
-                self.evaluators[j]._fine.points,
-                self._weighted(j).reshape(-1, 3), "stokes_slp",
-                self.viscosity, max_leaf=self.max_leaf,
-                equiv_points_per_edge=self.equiv_points_per_edge,
-                mac=self.mac, farfield_dtype=self.farfield_dtype),
-            range(len(self.cells)))
-
-    def evaluate_at(self, targets: np.ndarray) -> np.ndarray:
-        self._require_prepared()
-        if not self._trees and self.cells:
-            # prepare() skips the eager build under a sharding executor
-            # (workers build their own shard's trees); external-target
-            # evaluation still needs parent-side trees, so build them
-            # here — on the calling thread, never inside a mapped task.
-            self._build_trees()
-        return super().evaluate_at(targets)
-
-    def _masked_velocity(self, j: int, targets: np.ndarray,
-                         mask: np.ndarray) -> np.ndarray:
-        """Cell j's velocity at targets, near pairs (``mask``) through the
-        near-singular evaluator, the rest through the tree."""
-        out = np.empty((targets.shape[0], 3))
-        if mask.any():
-            out[mask] = self.evaluators[j].evaluate(
-                self._forces[j], targets[mask],
-                fine_weighted=self._weighted(j))
-        if (~mask).any():
-            out[~mask] = self._trees[j].evaluate(targets[~mask])
-        return out
-
-    def _source_velocity(self, j: int, targets: np.ndarray) -> np.ndarray:
-        """Cell j's single-layer velocity at targets: near-aware where
-        needed, treecode elsewhere."""
-        return self._masked_velocity(j, targets, self._near_mask(j, targets))
-
-    def cell_cell(self) -> List[np.ndarray]:
-        """Near-pair-batched specialization of the all-pairs sum.
-
-        All cells' points are stacked once and the near masks of *every*
-        source are computed in a single vectorized distance pass against
-        the stacked cloud (one (n_points_total, ncell) sweep instead of
-        one mask evaluation per source call); each source then runs one
-        near-evaluator batch and one treecode batch over its gathered
-        targets, exactly like :meth:`DirectBackend.cell_cell` stacks
-        target cells.
-        """
-        self._require_prepared()
-        cells = self.cells
-        ncell = len(cells)
-        if ncell <= 1:
-            return [np.zeros((c.n_points, 3)) for c in cells]
-        counts = [c.n_points for c in cells]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        allpts = np.concatenate([c.points for c in cells])
-        # (ntot, ncell) near classification in one pass.
-        d = np.linalg.norm(allpts[:, None, :] - self._centers[None, :, :],
-                           axis=2)
-        near = d < self._near_cutoffs()[None, :]
-        b = [np.zeros((n, 3)) for n in counts]
-
-        shards = self._source_shards()
-        if shards is not None:
-            # Workers rebuild their shard's trees locally; the parent
-            # ships the near columns it already classified.
-            tasks = [shardwork.TreecodeShard(
-                         sources=[self._payload(j) for j in shard],
-                         allpts=allpts,
-                         own=[(int(offsets[j]), int(offsets[j + 1]))
-                              for j in shard],
-                         near=[near[:, j].copy() for j in shard],
-                         mac=self.mac,
-                         equiv_points_per_edge=self.equiv_points_per_edge,
-                         max_leaf=self.max_leaf)
-                     for shard in shards]
-            vals_per_source = _regroup(
-                ncell, shards, self.executor.map(shardwork.RUN_SHARD, tasks))
-        else:
-            def task(j: int) -> np.ndarray:
-                keep = np.ones(allpts.shape[0], dtype=bool)
-                keep[offsets[j]:offsets[j + 1]] = False   # skip self targets
-                return self._masked_velocity(j, allpts[keep], near[keep, j])
-
-            vals_per_source = self.executor.map(task, range(ncell))
-        for j, vals in enumerate(vals_per_source):
-            at = 0
-            for i in range(ncell):
-                if i == j:
-                    continue
-                b[i] += vals[at:at + counts[i]]
-                at += counts[i]
-        return b
-
-
-@register_backend
-class FMMBackend(NearZoneMixin, InteractionBackend):
+class FMMBackend(InteractionBackend):
     """One global kernel-independent FMM over *all* cells' sources.
 
-    Where :class:`TreecodeBackend` builds a tree per source cell (O(ncell)
-    tree sweeps per target batch), this backend stacks every cell's fine
-    quadrature sources into a single :class:`repro.fmm.GlobalKIFMM` per
-    step: one upward + downward pass, then each target batch costs one
-    O(N) evaluation regardless of cell count — the crossover is around a
-    dozen cells (see ``examples/quickstart.py`` for the full table).
+    Every cell's fine quadrature sources are stacked into a single
+    :class:`repro.fmm.GlobalKIFMM` per step: one upward + downward pass,
+    then each target batch costs one O(N) evaluation regardless of cell
+    count — the crossover against :class:`DirectBackend` is around 16
+    cells (see ``examples/quickstart.py`` for the table).
 
     A global tree mixes every cell's contribution, so two corrections
     restore the pairwise semantics:
@@ -506,20 +320,21 @@ class FMMBackend(NearZoneMixin, InteractionBackend):
       only — the catastrophic cancellation that ruled out a global tree
       for a naive smooth-minus-smooth scheme does not occur because both
       sides carry identical singular near terms.
-    - **Near pairs**: targets inside another cell's near zone (bounding
-      sphere prefilter, then the evaluator's exact near scan) get
+    - **Near pairs**: targets inside another cell's near zone (a
+      conservative prefilter — inside the cell's bounding sphere
+      inflated by ``near_safety`` times its near-scheme distance — then
+      the evaluator's exact near scan) get
       :meth:`~repro.vesicle.CellNearEvaluator.near_correction` added —
       near-scheme value minus the same exact smooth sum the FMM's P2P
       route already delivered.
 
-    ``equiv_points_per_edge`` is the accuracy knob (defaults match the
-    treecode: rel error ~1e-4 vs Direct at 5, ~1e-6 at 8); ``max_leaf``
-    trades P2P against translation work — the 400 default keeps leaves
-    at roughly one cell's near cluster, which measured ~3x faster than
-    the treecode's 64..128 regime on dense suspensions (deep trees over
-    lattice-packed cells explode the M2L pair count); ``mac`` only
-    steers the fallback descent for targets outside the source cube
-    (vessel walls).
+    ``equiv_points_per_edge`` is the accuracy knob (rel error ~1e-4 vs
+    Direct at 5, ~1e-6 at 8); ``max_leaf`` trades P2P against
+    translation work — the 400 default keeps leaves at roughly one
+    cell's near cluster, which measured ~3x faster than a 64..128
+    regime on dense suspensions (deep trees over lattice-packed cells
+    explode the M2L pair count); ``mac`` only steers the fallback
+    descent for targets outside the source cube (vessel walls).
     """
 
     name = "fmm"
@@ -547,8 +362,31 @@ class FMMBackend(NearZoneMixin, InteractionBackend):
         :attr:`repro.fmm.GlobalKIFMM.stats`)."""
         return {} if self._fmm is None else dict(self._fmm.stats)
 
+    def _bounding_spheres(self) -> None:
+        centers, radii = [], []
+        for c in self.cells:
+            pts = c.points
+            ctr = pts.mean(axis=0)
+            centers.append(ctr)
+            radii.append(float(np.linalg.norm(pts - ctr, axis=1).max()))
+        self._centers = np.asarray(centers)
+        self._radii = np.asarray(radii)
+
+    def _near_cutoffs(self) -> np.ndarray:
+        """Per-source near-zone radius (bounding sphere + near distance)."""
+        return self._radii + self.near_safety * np.array(
+            [ev.near_distance for ev in self.evaluators])
+
+    def _near_mask(self, j: int, targets: np.ndarray) -> np.ndarray:
+        """Targets that may fall in source cell j's near-evaluation zone."""
+        d = np.linalg.norm(targets - self._centers[j], axis=1)
+        return d < self._near_cutoffs()[j]
+
     def prepare(self, forces: Sequence[np.ndarray]) -> None:
         super().prepare(forces)
+        if not self.cells:      # wall-only scene: no sources, no tree
+            self._fmm = None
+            return
         self._bounding_spheres()
         # Upsample every cell once (independent tasks), then build the
         # one global tree; its per-box stages fan out over the same
@@ -641,6 +479,8 @@ class FMMBackend(NearZoneMixin, InteractionBackend):
         external targets belong to no cell)."""
         self._require_prepared()
         targets = np.atleast_2d(np.asarray(targets, float))
+        if self._fmm is None:
+            return np.zeros((targets.shape[0], 3))
         u = self._fmm.evaluate(targets)
 
         def task(j: int) -> tuple:

@@ -13,7 +13,7 @@ backend. :class:`ScenarioBuilder` assembles those pieces fluently::
            .vessel(container)
            .fill(signed_distance=sd, bounds=(lo, hi), spacing=1.3)
            .force(Gravity(2.0))
-           .backend("treecode")
+           .backend("fmm")
            .build())
     sim.run(10)
 """

@@ -34,7 +34,6 @@ from typing import ClassVar, List, Tuple
 
 import numpy as np
 
-from ..fmm import KernelIndependentTreecode
 from ..kernels import stokes_slp_apply
 from ..runtime.executor import ProcessTask, worker_timers
 from ..surfaces import SpectralSurface
@@ -132,55 +131,6 @@ class DirectShard:
             out.append(evaluator.evaluate(
                 payload.force, self.allpts[keep],
                 fine_weighted=payload.fine_weighted))
-        return out
-
-
-@dataclasses.dataclass
-class TreecodeShard:
-    """One Morton shard of :class:`TreecodeBackend`'s per-source fan-out.
-
-    The near classification (one global distance sweep) stays in the
-    parent — each source ships its boolean near column over ``allpts`` —
-    while the per-source treecode is built inside the worker from the
-    rebuilt fine sources, so no tree ever crosses the process boundary.
-    """
-
-    phase: ClassVar[str] = "Other-FMM"
-
-    sources: List[CellPayload]
-    allpts: np.ndarray
-    own: List[Tuple[int, int]]
-    near: List[np.ndarray]      # per-source bool near column over allpts
-    mac: float
-    equiv_points_per_edge: int
-    max_leaf: int
-
-    @property
-    def ghost_nbytes(self) -> int:
-        owned = sum(hi - lo for lo, hi in self.own)
-        return (self.allpts.shape[0] - owned) * 3 * _FLOAT_BYTES
-
-    def run(self) -> List[np.ndarray]:
-        out = []
-        for payload, own, near_col in zip(self.sources, self.own, self.near):
-            evaluator = rebuild_evaluator(payload)
-            tree = KernelIndependentTreecode(
-                evaluator._fine.points,
-                payload.fine_weighted.reshape(-1, 3), "stokes_slp",
-                payload.viscosity, max_leaf=self.max_leaf,
-                equiv_points_per_edge=self.equiv_points_per_edge,
-                mac=self.mac, farfield_dtype=payload.farfield_dtype)
-            keep = _keep_mask(self.allpts.shape[0], own)
-            targets = self.allpts[keep]
-            mask = near_col[keep]
-            vals = np.empty((targets.shape[0], 3))
-            if mask.any():
-                vals[mask] = evaluator.evaluate(
-                    payload.force, targets[mask],
-                    fine_weighted=payload.fine_weighted)
-            if (~mask).any():
-                vals[~mask] = tree.evaluate(targets[~mask])
-            out.append(vals)
         return out
 
 

@@ -2,15 +2,14 @@
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..bie import BoundarySolver
 from ..collision import NCPSolver, patch_collision_mesh
-from ..config import NumericsOptions, ReproConfig
+from ..config import ReproConfig
 from ..patches import PatchSurface
 from ..resilience import (HealthSentinel, StepRejectedError, capture_state,
                           restore_state)
@@ -28,28 +27,6 @@ RECOVERABLE_ERRORS = (ArithmeticError, ValueError, RuntimeError,
                       np.linalg.LinAlgError)
 
 
-@dataclasses.dataclass
-class SimulationConfig:
-    """Deprecated flag-style configuration of a blood-flow simulation.
-
-    Superseded by :class:`repro.config.ReproConfig`, whose ``forces``
-    list replaces the ``with_tension`` / ``gravity`` /
-    ``background_flow`` flags. Passing a ``SimulationConfig`` to
-    :class:`Simulation` still works (it is converted via
-    :meth:`ReproConfig.from_legacy`) but emits a ``DeprecationWarning``.
-    """
-
-    dt: float = 0.05
-    bending_modulus: float = 0.01
-    viscosity: float = 1.0
-    with_tension: bool = False
-    with_collisions: bool = True
-    gravity: Optional[tuple[float, tuple[float, float, float]]] = None
-    background_flow: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    collision_points_per_patch_edge: int = 12
-    numerics: NumericsOptions = dataclasses.field(default_factory=NumericsOptions)
-
-
 class Simulation:
     """A confined (or free-space) RBC flow simulation.
 
@@ -64,9 +41,8 @@ class Simulation:
         :mod:`repro.vessel.boundary_conditions`); zero means no-slip
         everywhere.
     config:
-        A :class:`repro.config.ReproConfig` (preferred; see
-        :mod:`repro.presets` for paper scenarios) or a deprecated
-        :class:`SimulationConfig`.
+        A :class:`repro.config.ReproConfig` (see :mod:`repro.presets`
+        for paper scenarios).
     recycler:
         Optional inlet/outlet cell recycler.
     backend:
@@ -77,15 +53,9 @@ class Simulation:
     def __init__(self, cells: Sequence[SpectralSurface],
                  vessel: Optional[PatchSurface] = None,
                  boundary_bc: Optional[np.ndarray] = None,
-                 config: Optional[Union[ReproConfig, SimulationConfig]] = None,
+                 config: Optional[ReproConfig] = None,
                  recycler: Optional[OutletRecycler] = None,
                  backend: Optional[InteractionBackend] = None):
-        if isinstance(config, SimulationConfig):
-            warnings.warn(
-                "SimulationConfig is deprecated; build a ReproConfig with "
-                "composable force terms instead (see repro.presets)",
-                DeprecationWarning, stacklevel=2)
-            config = ReproConfig.from_legacy(config)
         self.config = config or ReproConfig()
         if backend is not None and backend.name in BACKENDS:
             # Keep the archived config faithful to the run when a
@@ -97,10 +67,7 @@ class Simulation:
         self.vessel = vessel
         self.recycler = recycler
         self.timers = ComponentTimers()
-        # Numerics are shared policy; copy before stamping the fluid
-        # viscosity so a caller-supplied bundle is never mutated.
-        opts = dataclasses.replace(self.config.numerics,
-                                   viscosity=self.config.viscosity)
+        opts = self.config.numerics
 
         solver = None
         if vessel is not None:
@@ -126,7 +93,8 @@ class Simulation:
             self.cells, options=opts, boundary_solver=solver,
             boundary_bc=boundary_bc, forces=self.config.forces,
             backend=backend, ncp_solver=ncp, timers=self.timers,
-            resilience=self.config.resilience)
+            resilience=self.config.resilience,
+            viscosity=self.config.viscosity)
 
         self.t = 0.0
         self.history: list[StepReport] = []

@@ -9,7 +9,8 @@ Per step, from state (X, sigma, lambda):
    (d) contributions of the *other* cells b_c_i = sum_{j != i} S_j f_j,
    (e) b_i = u_Gamma_i + b_c_i (+ any imposed-velocity force terms);
 2. implicit part: solve X+ = X + dt (b + S_i f_i(X+)) per cell with the
-   frozen-geometry linearized bending operator, via GMRES;
+   frozen-geometry linearized bending operator, by a factorized direct
+   solve;
 3. contact projection: the NCP loop renders (X+, lambda+) contact-free.
 
 Interactions with the vessel and between cells are explicit; the cell's
@@ -31,17 +32,16 @@ applies and the post-step forward SHTs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..config import NumericsOptions
-from ..linalg import LUFactorization, gmres
+from ..linalg import gmres
 from ..physics import linearized_bending_apply
 from ..physics.bending import implicit_operator_matrix
 from ..physics.tension import TensionSolver
-from ..physics.terms import (BackgroundFlow, Bending, CellState, ForceTerm,
-                             Gravity, Tension)
+from ..physics.terms import Bending, CellState, ForceTerm, Tension
 from ..analysis.contracts import set_debug_checks
 from ..resilience.health import WarnOnceRegistry
 from ..runtime.executor import make_executor, resolve_workers
@@ -97,29 +97,24 @@ class StepReport:
 class TimeStepper:
     """Advances a list of cells through one locally-implicit step.
 
-    The preferred construction passes ``forces`` (a list of
-    :class:`ForceTerm`) and ``backend`` (an
-    :class:`InteractionBackend`); the legacy keyword arguments
-    ``bending_modulus`` / ``gravity`` / ``with_tension`` /
-    ``background_flow`` are still accepted and converted to the
-    equivalent terms when ``forces`` is omitted.
+    The physics is ``forces`` (a list of :class:`ForceTerm`, default
+    ``[Bending()]`` as in :class:`repro.config.ReproConfig`) and the
+    cell-cell summation ``backend`` (an :class:`InteractionBackend`,
+    default :class:`DirectBackend`).
     """
 
     def __init__(self, cells: Sequence[SpectralSurface],
                  options: Optional[NumericsOptions] = None,
                  boundary_solver=None,
                  boundary_bc: Optional[np.ndarray] = None,
-                 background_flow: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 bending_modulus: float = 0.01,
-                 gravity: Optional[tuple[float, np.ndarray]] = None,
-                 with_tension: bool = False,
                  ncp_solver: Optional[NCPSolver] = None,
                  timers: Optional[ComponentTimers] = None,
                  implicit_tol: float = 1e-8,
                  implicit_max_iter: int = 60,
                  forces: Optional[Sequence[ForceTerm]] = None,
                  backend: Optional[InteractionBackend] = None,
-                 resilience=None):
+                 resilience=None,
+                 viscosity: float = 1.0):
         self.cells = list(cells)
         self.options = options or NumericsOptions()
         #: graceful-degradation policy (a
@@ -141,7 +136,7 @@ class TimeStepper:
         self.warnings = WarnOnceRegistry()
         self.implicit_tol = implicit_tol
         self.implicit_max_iter = implicit_max_iter
-        self.viscosity = self.options.viscosity
+        self.viscosity = viscosity
         if self.options.debug_checks:
             # Process-wide on purpose: the @checked seams live on shared
             # module-level functions, not per-stepper state.
@@ -158,16 +153,8 @@ class TimeStepper:
         #: order-grouped SoA view used for the stacked-GEMM paths.
         self.batch = CellBatch(self.cells)
 
-        if forces is None:
-            forces = [Bending(bending_modulus)]
-            if with_tension:
-                forces.append(Tension())
-            if gravity is not None:
-                drho, gvec = gravity
-                forces.append(Gravity(drho, tuple(np.asarray(gvec, float))))
-            if background_flow is not None:
-                forces.append(BackgroundFlow(background_flow))
-        self.forces: List[ForceTerm] = list(forces)
+        self.forces: List[ForceTerm] = (list(forces) if forces is not None
+                                        else [Bending()])
         #: modulus of the linearized implicit bending operator.
         self.kappa = next((t.modulus for t in self.forces
                            if isinstance(t, Bending)), 0.0)
@@ -208,12 +195,11 @@ class TimeStepper:
         self._self_ops: list[SingularSelfInteraction] = [
             SingularSelfInteraction(
                 c, viscosity=self.viscosity,
-                refresh_interval=self.options.selfop_refresh_interval,
-                assembly=self.options.selfop_assembly)
+                refresh_interval=self.options.selfop_refresh_interval)
             for c in self.cells]
         self.sigmas: list[np.ndarray] = [
             np.zeros((c.grid.nlat, c.grid.nphi)) for c in self.cells]
-        # Per-cell direct-solve state, rebuilt lazily after each refresh:
+        # Per-cell direct-solve state, rebuilt after each full refresh:
         # the factorized tension Schur complement and the factorized
         # implicit operator I - dt S L (keyed by the dt it was built for).
         self._tension_solvers: list[Optional[TensionSolver]] = \
@@ -339,7 +325,7 @@ class TimeStepper:
         """Graceful degradation of the cell-cell summation: while the
         active backend's output contains non-finite values and the
         policy names a fallback, permanently rebind the next backend of
-        ``degradation_order`` (fmm -> treecode -> direct by default) and
+        ``degradation_order`` (fmm -> direct by default) and
         re-evaluate. Sticky: later steps keep the degraded backend (the
         fast backend already proved unreliable on this scene). When the
         chain is exhausted the poisoned result is returned unchanged and
@@ -419,18 +405,16 @@ class TimeStepper:
         the computed tension is consistent with the forcing actually
         applied.
 
-        With ``options.direct_tension`` (the default) the per-cell Schur
-        complement is assembled and LU-factorized on first use after each
-        refresh and the solve is a direct back-substitution; otherwise
-        the matrix-free GMRES path runs.
+        The per-cell Schur complement is assembled and LU-factorized on
+        first use after each refresh and the solve is a direct
+        back-substitution.
 
         Batched in three stages: the self-interaction applies of all
         same-order cells collapse into one stacked GEMM (CellBatch),
         missing Schur factorizations are rebuilt — assembled as per-cell
         executor tasks, then factorized as one stacked getrf pass per
-        equal-order group (``options.batched_lu``; bit-identical to the
-        per-cell factorizations) — and the per-cell solve tasks map over
-        the executor.
+        equal-order group — and the per-cell solve tasks map over the
+        executor.
         """
         ncell = len(self.cells)
         f_bg = self.executor.map(
@@ -438,23 +422,13 @@ class TimeStepper:
             range(ncell))
         applied = self.batch.apply_matrices(
             [op.matrix for op in self._self_ops], f_bg)
-        if self.options.direct_tension and self.options.batched_lu:
-            self._ensure_tension_solvers()
+        self._ensure_tension_solvers()
 
         def task(i: int) -> tuple[np.ndarray, int, bool]:
-            cell = self.cells[i]
-            op = self._self_ops[i]
-            u_bg = b[i] + applied[i].reshape(cell.X.shape)
-            solver = self._tension_solvers[i]
-            if solver is None:
-                solver = TensionSolver(
-                    cell, op.apply,
-                    self_matrix=(op.matrix if self.options.direct_tension
-                                 else None))
-                self._tension_solvers[i] = solver
-            # solve_report returns the GMRES convergence flag the plain
-            # solve() drops (the direct path always reports converged).
-            return solver.solve_report(u_bg)
+            u_bg = b[i] + applied[i].reshape(self.cells[i].X.shape)
+            # solve_report returns the convergence flag the plain solve()
+            # drops (false only on the singular-LU GMRES fallback).
+            return self._tension_solvers[i].solve_report(u_bg)
 
         solved = self.executor.map(task, range(ncell))
         self.sigmas = [sigma for sigma, _, _ in solved]
@@ -511,35 +485,27 @@ class TimeStepper:
         """Solve X+ = X + dt (b + S_i f_i(X+)) with linearized bending;
         returns ``(X+, iterations, converged)``.
 
-        With ``options.direct_implicit`` (the default) the dense operator
-        ``I - dt S L`` is assembled and LU-factorized per (cell, dt) on
-        first use after each refresh, and the update is a single
-        back-substitution (0 reported iterations, always converged). If
-        ``dt`` differs from the factorization already cached for this
-        geometry — adaptive stepping mid-run, including the resilience
-        layer's dt-halved retries — the solve falls back to GMRES rather
-        than thrashing refactorizations, and surfaces that solve's
-        convergence flag.
+        The dense operator ``I - dt S L`` is assembled and LU-factorized
+        per (cell, dt) by :meth:`_prepare_implicit` on first use after
+        each refresh, and the update is a single back-substitution (0
+        reported iterations, always converged). If ``dt`` differs from
+        the factorization already cached for this geometry — adaptive
+        stepping mid-run, including the resilience layer's dt-halved
+        retries — the solve falls back to GMRES rather than thrashing
+        refactorizations, and surfaces that solve's convergence flag.
         """
         cell = self.cells[i]
         op = self._self_ops[i]
         shape = cell.X.shape
         f_now = self.interfacial_force(i)
 
-        if self.options.direct_implicit:
-            cached = self._impl_lu[i]
-            if cached is None:
-                A, core, nrm = implicit_operator_matrix(
-                    cell, op.matrix, self.kappa, dt)
-                cached = (dt, LUFactorization(A), core, nrm)
-                self._impl_lu[i] = cached
-            if cached[0] == dt:
-                _, lu, core, nrm = cached
-                w = np.einsum("mj,mj->m", cell.points, nrm)
-                LX = ((core @ w)[:, None] * nrm).reshape(shape)
-                rhs = (cell.X + dt * (b.reshape(shape)
-                                      + op.apply(f_now - LX))).ravel()
-                return lu.solve(rhs).reshape(shape), 0, True
+        cached_dt, lu, core, nrm = self._impl_lu[i]
+        if cached_dt == dt:
+            w = np.einsum("mj,mj->m", cell.points, nrm)
+            LX = ((core @ w)[:, None] * nrm).reshape(shape)
+            rhs = (cell.X + dt * (b.reshape(shape)
+                                  + op.apply(f_now - LX))).ravel()
+            return lu.solve(rhs).reshape(shape), 0, True
 
         def L_apply(dX_flat: np.ndarray) -> np.ndarray:
             dX = dX_flat.reshape(shape)
@@ -582,8 +548,7 @@ class TimeStepper:
                     tension_iters, tension_conv = self._update_tensions(b)
 
             with self.timers.scope("Implicit"):
-                if self.options.direct_implicit and self.options.batched_lu:
-                    self._prepare_implicit(dt)
+                self._prepare_implicit(dt)
                 results = self.executor.map(
                     lambda i: self._implicit_update(i, b[i], dt),
                     range(len(self.cells)))
@@ -635,8 +600,7 @@ class TimeStepper:
             # Cells due a full block-circulant reassembly this step are
             # assembled as one stacked pass per same-order group; their
             # refresh tasks below consume the installed operators.
-            due = [i for i, op in enumerate(self._self_ops)
-                   if op.assembly_mode == "circulant" and op.due_full()]
+            due = [i for i, op in enumerate(self._self_ops) if op.due_full()]
             if len(due) > 1:
                 self.batch.assemble_selfops(self._self_ops, due)
             self.executor.map(self._refresh_after_step,

@@ -1,28 +1,24 @@
-"""Kernel-independent fast summation (PVFMM substitute, S3 in DESIGN.md).
+"""Kernel-independent fast summation (PVFMM substitute).
 
 The paper evaluates all global integrals with PVFMM [26, 27]. Here the
-same role is played by a pure-numpy *kernel-independent treecode*: an
-adaptive octree is built over the sources; each box carries an equivalent
-density on a cube check surface fitted by regularized least squares (the
-KIFMM upward pass: P2M at leaves, M2M up the tree); a target evaluates
-well-separated boxes through their equivalent sources (multipole
-acceptance criterion) and near boxes directly. Complexity O(N log N)
-with accuracy set by the equivalent-surface resolution, verified against
-the direct O(N^2) sums in the tests. The Stokes and Laplace single and
-double layers are all supported through the same machinery — kernel
+same role is played by a pure-numpy *kernel-independent FMM*
+(:class:`GlobalKIFMM`): an adaptive octree is built over the sources;
+each box carries an equivalent density on a cube surface fitted by
+regularized least squares (upward pass: P2M at leaves, M2M up the tree),
+a downward pass (M2L/P2L/L2L) gives every leaf a local expansion, and a
+target sums its leaf's local field plus the adjacent boxes directly.
+Complexity O(N) with accuracy set by the equivalent-surface resolution,
+verified against the direct O(N^2) sums in the tests. The Stokes and
+Laplace single layers are supported through the same machinery — kernel
 independence is the point of the method.
 """
 from .octree import InteractionLists, Octree, OctreeNode
-from .treecode import KernelIndependentTreecode, stokes_slp_fmm, laplace_slp_fmm
 from .kifmm import GlobalKIFMM, stokes_slp_global_fmm
 
 __all__ = [
     "InteractionLists",
     "Octree",
     "OctreeNode",
-    "KernelIndependentTreecode",
     "GlobalKIFMM",
-    "stokes_slp_fmm",
     "stokes_slp_global_fmm",
-    "laplace_slp_fmm",
 ]

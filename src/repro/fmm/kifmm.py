@@ -1,9 +1,11 @@
 """Global-octree kernel-independent FMM (the true O(N) two-pass driver).
 
-The treecode of :mod:`repro.fmm.treecode` stops after the upward pass and
-pays O(N log N) per evaluation through its multipole acceptance descent;
-this module adds the downward pass over one *global* octree, turning the
-all-sources sum into the classical O(N) KIFMM of Ying, Biros & Zorin:
+Every box replaces its sources by an *equivalent density* on a cube
+surface around it, fitted so that the field matches on a larger check
+surface (Tikhonov-regularized least squares, the KIFMM recipe of
+Ying/Biros/Zorin that PVFMM implements). An upward and a downward pass
+over one *global* octree turn the all-sources sum into the classical
+O(N) KIFMM:
 
 - **Upward** (P2M/M2M): every leaf fits an equivalent density on its
   small (1.3) surface from check values on its large (2.6) surface;
@@ -19,7 +21,7 @@ all-sources sum into the classical O(N) KIFMM of Ying, Biros & Zorin:
   downward density (all well-separated sources), direct kernels over the
   U list (all adjacent sources) and the W-list equivalents. Targets
   outside every leaf (outside the root cube, or in a pruned octant) fall
-  back to the treecode's MAC descent over the same upward data.
+  back to a MAC descent over the same upward data.
 
 M2L is the flop bottleneck, so it is batched: interaction pairs are
 grouped by (level, integer offset) — every pair in a group shares one
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -50,14 +52,70 @@ from ..kernels import (
 )
 from ..runtime.executor import Executor, SerialExecutor
 from .octree import Octree
-from .treecode import (
-    _CHECK_EXTRA,
-    _CHECK_RADIUS,
-    _EQUIV_RADIUS,
-    KernelName,
-    _cube_surface,
-    _fit_operator,
-)
+
+KernelName = Literal["stokes_slp", "laplace_slp"]
+
+#: Relative radii of the equivalent and check surfaces (the PVFMM
+#: convention: the equivalent surface hugs the box, the check surface
+#: sits just inside the minimum well-separated distance of 3 box
+#: half-widths). Measured against direct sums, (1.05, 2.95) is 10-60x
+#: more accurate per surface resolution than the wider (1.3, 2.6) pair
+#: it replaced — the fit extrapolates less.
+_EQUIV_RADIUS = 1.05
+_CHECK_RADIUS = 2.95
+#: Check surfaces carry ``e + _CHECK_EXTRA`` points per edge: the fits
+#: are overdetermined least squares, which kills the field-sampling
+#: aliasing a square check grid suffers near the separation boundary
+#: (another ~30x at e=5, saturating past +2 extra points).
+_CHECK_EXTRA = 2
+
+
+@lru_cache(maxsize=8)
+def _cube_surface(e: int) -> np.ndarray:
+    """e x e points per face of the unit cube surface, shape (m, 3)."""
+    t = np.linspace(-1.0, 1.0, e)
+    pts = []
+    for axis in range(3):
+        for sign in (-1.0, 1.0):
+            A, B = np.meshgrid(t, t, indexing="ij")
+            face = np.empty((e * e, 3))
+            # repro-lint: disable=shared-write — `face` is function-local
+            face[:, axis] = sign
+            others = [k for k in range(3) if k != axis]
+            # repro-lint: disable=shared-write — `face` is function-local
+            face[:, others[0]] = A.ravel()
+            # repro-lint: disable=shared-write — `face` is function-local
+            face[:, others[1]] = B.ravel()
+            pts.append(face)
+    pts = np.unique(np.round(np.vstack(pts), 12), axis=0)
+    return freeze(pts)
+
+
+@lru_cache(maxsize=32)
+def _fit_operator(kernel: KernelName, e: int, viscosity: float,
+                  density_radius: float = _EQUIV_RADIUS,
+                  check_radius: float = _CHECK_RADIUS) -> np.ndarray:
+    """Pseudo-inverse mapping check-surface values -> equivalent density
+    at unit scale (both kernels are homogeneous of degree -1, so the
+    operator rescales by the box size at apply time).
+
+    The defaults fit the *upward* equivalent density (sources on the
+    small surface, matched on the large one); the downward pass of the
+    global FMM swaps the radii (density on the large surface, matched on
+    the small one). Cached: every tree of every step shares the handful
+    of distinct (kernel, resolution, viscosity, radii) SVDs.
+    """
+    eq = density_radius * _cube_surface(e)
+    ck = check_radius * _cube_surface(e + _CHECK_EXTRA)
+    if kernel == "stokes_slp":
+        M = stokes_slp_matrix(eq, ck, viscosity)
+    else:
+        M = laplace_slp_matrix(eq, ck)
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    cutoff = s[0] * 1e-9
+    sinv = np.where(s > cutoff, 1.0 / s, 0.0)
+    return freeze((Vt.T * sinv) @ U.T)
+
 
 _IDENTITY9 = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
@@ -205,9 +263,11 @@ class GlobalKIFMM:
     """O(N) summation of weighted single-layer sources over one octree.
 
     Construction runs both passes (so the per-step cost is paid once);
-    :meth:`evaluate` then serves any number of target batches. Parameters
-    mirror :class:`repro.fmm.KernelIndependentTreecode`; ``mac`` only
-    steers the fallback descent for targets outside every leaf, and
+    :meth:`evaluate` then serves any number of target batches.
+    ``equiv_points_per_edge`` is the resolution of the equivalent surface
+    (the accuracy knob); ``mac`` only steers the fallback descent for
+    targets outside every leaf (a box is used in far form when
+    ``dist(target, box center) >= mac * box_half_width``), and
     ``farfield_dtype="float32"`` runs the far translation/evaluation
     GEMMs (M2L, M2P, L2P) in single precision while every direct kernel
     (P2M check values, P2L, P2P) stays float64.
@@ -467,7 +527,7 @@ class GlobalKIFMM:
 
     def _descend_mac(self, nid: int, targets: np.ndarray, tidx: np.ndarray,
                      out: np.ndarray, stats: dict) -> None:
-        """Treecode fallback over the upward data, for targets that lie
+        """MAC-descent fallback over the upward data, for targets that lie
         outside every leaf (outside the root cube or in pruned octants —
         e.g. vessel-wall evaluation points)."""
         if tidx.size == 0:

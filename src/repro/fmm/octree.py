@@ -44,8 +44,7 @@ class OctreeNode:
     children ids. ``anchor`` is the integer (i, j, k) grid coordinate of
     the box on its level's uniform grid (root = (0, 0, 0)); a child's
     anchor is ``2 * parent_anchor + octant_bits``, matching the Morton
-    bit convention of :func:`morton_keys_3d`. ``equiv`` is filled by the
-    upward pass of the treecode.
+    bit convention of :func:`morton_keys_3d`.
     """
 
     center: np.ndarray
@@ -55,7 +54,6 @@ class OctreeNode:
     children: list[int]
     parent: int
     anchor: Tuple[int, int, int] = (0, 0, 0)
-    equiv: Optional[np.ndarray] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -306,7 +304,7 @@ class Octree:
 
         A target falls outside every leaf when it lies outside the root
         cube or inside a pruned (source-free) octant; such targets need
-        a fallback evaluation (the treecode-style MAC descent).
+        a fallback evaluation (the MAC descent of ``GlobalKIFMM``).
         """
         targets = np.atleast_2d(np.asarray(targets, float))
         root = self.nodes[0]

@@ -92,7 +92,7 @@ class TensionSolver:
         the unique band-limited solution the Krylov path converges to.
         Split from :meth:`factorize` so the stepper can gather the
         systems of an equal-order cell group and factorize them as one
-        stacked getrf pass (``NumericsOptions.batched_lu``).
+        stacked getrf pass.
         """
         P = bandlimit_projector(self.surface.order)
         A = self.schur_matrix(self_matrix) @ P

@@ -100,22 +100,22 @@ def relaxation(dt: float = 0.05, bending_modulus: float = 0.05
 
 def strong_scaling(dt: float = 0.05) -> ReproConfig:
     """Strong-scaling runs (paper Fig. 4): full tolerances, the paper's
-    check-point spacing R = r = 0.15 L, treecode far field."""
+    check-point spacing R = r = 0.15 L, FMM far field."""
     return ReproConfig(
         dt=dt,
         forces=[Bending(0.01), Tension()],
-        backend="treecode",
+        backend="fmm",
         with_collisions=True,
         numerics=NumericsOptions(check_r_factor=0.15))
 
 
 def weak_scaling(dt: float = 0.05) -> ReproConfig:
     """Weak-scaling runs (paper Figs. 5/6): check-point spacing 0.1 L,
-    treecode far field."""
+    FMM far field."""
     return ReproConfig(
         dt=dt,
         forces=[Bending(0.01), Tension()],
-        backend="treecode",
+        backend="fmm",
         with_collisions=True,
         numerics=NumericsOptions(check_r_factor=0.1))
 

@@ -18,14 +18,14 @@ Policy (what rejects a step, how many dt-halved retries, the backend
 degradation chain) lives in :class:`repro.config.ResilienceOptions`.
 """
 from .health import (HealthSentinel, StepHealth, StepRejectedError,
-                     WarnOnceRegistry, reset_warnings, warn_once)
+                     WarnOnceRegistry)
 from .snapshot import StepSnapshot, capture_state, restore_state
 from .checkpoint import (CHECKPOINT_VERSION, load_checkpoint,
                          save_checkpoint)
 
 __all__ = [
     "HealthSentinel", "StepHealth", "StepRejectedError",
-    "WarnOnceRegistry", "reset_warnings", "warn_once",
+    "WarnOnceRegistry",
     "StepSnapshot", "capture_state", "restore_state",
     "CHECKPOINT_VERSION", "save_checkpoint", "load_checkpoint",
 ]

@@ -20,7 +20,7 @@ behavior, not a fault) and singular LU slices (already degraded
 gracefully to the GMRES fallback by :mod:`repro.linalg.dense`).
 
 This module imports nothing from :mod:`repro.core` so the stepper can
-import :func:`warn_once` without a cycle.
+import :class:`WarnOnceRegistry` without a cycle.
 """
 from __future__ import annotations
 
@@ -40,11 +40,10 @@ class WarnOnceRegistry:
 
     Each :class:`~repro.core.stepper.TimeStepper` owns one, so recurring
     per-step conditions (a capped BIE solve, a degraded backend) are
-    logged exactly once *per simulation* — not once per process. The old
-    process-global registry meant the first simulation to hit "BIE
-    capped" silenced that warning for every other simulation sharing the
-    interpreter (a sweep runs many), and a test calling
-    ``reset_warnings()`` nuked other live runs' state.
+    logged exactly once *per simulation* — not once per process: with a
+    process-global registry the first simulation to hit "BIE capped"
+    would silence that warning for every other simulation sharing the
+    interpreter (a sweep runs many).
 
     Keys carry run identity: every instance gets a process-unique
     ``run_id`` (stamped into the logged message), and the seen-set is
@@ -77,30 +76,6 @@ class WarnOnceRegistry:
         """Forget every key this registry has seen."""
         with self._lock:
             self._seen.clear()
-
-
-#: the process-wide registry behind the deprecated module-level
-#: :func:`warn_once` / :func:`reset_warnings` shims; bound simulations
-#: each carry their own instance instead.
-# repro-lint: disable=global-mutable — deprecated shim registry; new code
-# binds a per-simulation WarnOnceRegistry (see class docstring)
-_module_registry = WarnOnceRegistry(run_id="process")
-
-
-def warn_once(key: str, message: str) -> bool:
-    """Deprecated module-level shim over a process-wide
-    :class:`WarnOnceRegistry`. Kept for the few module-level call sites
-    and for backward compatibility; simulation-scoped code should use
-    the registry bound on its stepper (``stepper.warnings.warn_once``)
-    so one run's findings never suppress another's."""
-    return _module_registry.warn_once(key, message)
-
-
-def reset_warnings() -> None:
-    """Forget every key of the deprecated module-level shim registry
-    (test isolation). Per-simulation registries are unaffected — use
-    ``stepper.warnings.reset()`` for those."""
-    _module_registry.reset()
 
 
 class StepRejectedError(RuntimeError):
@@ -140,11 +115,12 @@ class HealthSentinel:
 
     ``warnings`` scopes the record-only findings' once-per-run log lines
     to one simulation (pass the stepper's :class:`WarnOnceRegistry`);
-    when omitted, the deprecated process-wide shim registry is used."""
+    when omitted, the sentinel gets a registry of its own."""
 
     def __init__(self, policy, warnings: "WarnOnceRegistry | None" = None):
         self.policy = policy
-        self.warnings = warnings if warnings is not None else _module_registry
+        self.warnings = (warnings if warnings is not None
+                         else WarnOnceRegistry())
 
     def evaluate(self, stepper, report, snapshot) -> StepHealth:
         """Validate the post-step state of ``stepper`` against the

@@ -25,7 +25,7 @@ __all__ = ["warm_caches"]
 
 
 def warm_caches(orders: Iterable[int], upsample: float = 1.5,
-                aliasing_factor: int = 2, circulant: bool = True) -> dict:
+                aliasing_factor: int = 2) -> dict:
     """Pre-build the geometry-independent per-order tables for ``orders``.
 
     Touches, per order ``p``: the sampling grid and Gauss-Legendre rule
@@ -37,13 +37,11 @@ def warm_caches(orders: Iterable[int], upsample: float = 1.5,
     (:mod:`repro.surfaces.spectral_surface`), and the rotation-quadrature
     bundle at ``q_rot = max(p, ceil(upsample * p))`` with its circulant
     mode symbols (:mod:`repro.vesicle.self_interaction`) — the tables
-    the default ``"circulant"`` self-interaction assembly consumes.
+    the self-interaction assembly consumes.
 
     ``upsample`` / ``aliasing_factor`` mirror the
     ``SingularSelfInteraction`` / ``SpectralSurface`` constructor
-    defaults; pass the values your scenes override them with. With
-    ``circulant=False`` the (largest) circulant symbol tables are
-    skipped.
+    defaults; pass the values your scenes override them with.
 
     Returns a small dict mapping each warmed order to the derived
     ``(aliasing_order, q_rot)`` pair, mostly for logging.
@@ -68,8 +66,6 @@ def warm_caches(orders: Iterable[int], upsample: float = 1.5,
         _grid_operator_matrices(p, q)
         bandlimit_projector(p)
         q_rot = max(p, int(math.ceil(upsample * p)))
-        tables = _rotation_tables(p, q_rot)
-        if circulant:
-            tables.circulant_tables()
+        _rotation_tables(p, q_rot).circulant_tables()
         warmed[p] = (q, q_rot)
     return warmed

@@ -50,7 +50,7 @@ def calibrate_costs(quick: bool = True) -> CalibratedCosts:
     import time
 
     from ..config import NumericsOptions
-    from ..fmm import KernelIndependentTreecode
+    from ..fmm import GlobalKIFMM
     from ..patches import cube_sphere
     from ..bie import BoundarySolver
     from ..surfaces import sphere
@@ -64,8 +64,8 @@ def calibrate_costs(quick: bool = True) -> CalibratedCosts:
     src = rng.normal(size=(n, 3))
     den = rng.normal(size=(n, 3)) / n
     t0 = time.perf_counter()
-    tc = KernelIndependentTreecode(src, den, "stokes_slp", max_leaf=256)
-    tc.evaluate(src[: n // 4])
+    fmm = GlobalKIFMM(src, den, "stokes_slp", max_leaf=256)
+    fmm.evaluate(src[: n // 4])
     costs.fmm_per_point = (time.perf_counter() - t0) / (n + n // 4)
 
     # BIE matvec per node per iteration (assembled operator).

@@ -24,10 +24,9 @@ SHT, after which every :meth:`~SingularSelfInteraction.apply` — called
 inside the tension solve, every implicit-GMRES matvec, and the NCP
 mobility — is a single GEMV.
 
-Two assembly routes produce that matrix. The *fused* route (PR 3)
-contracts a per-target synthesis/phase/SHT table. The *block-circulant*
-route exploits the azimuthal structure the uniform longitudes give both
-table factors exactly, for arbitrary (non-axisymmetric) shapes:
+The assembly is *block-circulant*: it exploits the azimuthal structure
+the uniform longitudes give both table factors exactly, for arbitrary
+(non-axisymmetric) shapes:
 
 - moving a target around its latitude ring rotates the quadrature rule
   about the polar axis, so the ring's rotated-synthesis matrices differ
@@ -47,19 +46,16 @@ are one GEMM against the ``(nrot, (p+1) nlat)`` conjugate symbol, a
 diagonal target-phase multiply, and an inverse FFT over the source
 longitude. Only the pointwise Stokeslet kernel fields remain per-target
 (they carry the actual, generally non-axisymmetric geometry), which is
-why the route is exact. The per-ring symbol replaces the
-``(nlat, nphi, N, nrot)`` fused table with ``(nlat, nrot, (p+1) nlat)``
-— smaller by the ``2p+2`` target longitudes — lifting the
-``FUSED_TABLE_BUDGET`` memory gate that stops the fused table at order
-~10. (In cylindrical vector components about the polar axis the full
-operator of a surface of revolution is itself block-circulant in the
-target longitude; the equivalence suite demonstrates that limit, but the
-assembly here only relies on the parametrization-level circulance, which
-is exact for every shape.)
+why the route is exact. The per-ring symbol is ``(nlat, nrot, (p+1)
+nlat)``, so the route has no memory gate and order-12+ scenes are
+practical. (In cylindrical vector components about the polar axis the
+full operator of a surface of revolution is itself block-circulant in
+the target longitude; the equivalence suite demonstrates that limit, but
+the assembly here only relies on the parametrization-level circulance,
+which is exact for every shape.)
 """
 from __future__ import annotations
 
-import logging
 import threading
 from typing import Sequence
 
@@ -72,8 +68,6 @@ from ..sph.alp import normalized_alp_theta_derivative
 from ..sph.grid import get_grid
 from ..sph.rotation import rotated_ring_points
 from ..surfaces import SpectralSurface
-
-_log = logging.getLogger(__name__)
 
 _POLE_GUARD = 1e-7
 
@@ -100,12 +94,8 @@ def pack_coeffs(c: np.ndarray) -> np.ndarray:
 
 
 class _RotationTables:
-    """Per-(p, q_rot) rotation quadrature machinery.
-
-    Instances are shared through the :func:`_rotation_tables` factory
-    cache (a plain class here — not wrapped in ``lru_cache`` directly —
-    so class attributes like :data:`FUSED_TABLE_BUDGET` stay patchable
-    by tests)."""
+    """Per-(p, q_rot) rotation quadrature machinery, shared through the
+    :func:`_rotation_tables` factory cache."""
 
     def __init__(self, p: int, q_rot: int):
         self.p = p
@@ -137,9 +127,9 @@ class _RotationTables:
         self.phases = np.exp(1j * ms[:, None] * grid.phi[None, :])
 
         # Per latitude row: rotated coordinates for phi0 = 0 and synthesis
-        # matrices (value, d/dtheta, d/dphi) from packed coefficients;
-        # stacked over rows so downstream contractions are batched GEMMs.
-        row_sin, Bvs, Bts, Bps = [], [], [], []
+        # matrices (value, d/dtheta) from packed coefficients; stacked
+        # over rows so downstream contractions are batched GEMMs.
+        row_sin, Bvs, Bts = [], [], []
         for i in range(grid.nlat):
             th_r, ph_r = rotated_ring_points(grid.theta[i],
                                              PSI.ravel(), ALPHA.ravel())
@@ -154,87 +144,23 @@ class _RotationTables:
             row_sin.append(np.sin(th_r))
             Bvs.append(Bv)
             Bts.append(dPm * phase)
-            Bps.append(Bv * (1j * ms)[None, :])
         #: (nlat, nrot) / (nlat, nrot, ncoef) stacks; row i of each is the
         #: per-latitude machinery of the phi0 = 0 target of that row.
         self.row_sin_theta_r = np.stack(row_sin)
         self.B_val = np.stack(Bvs)
         self.B_dth = np.stack(Bts)
-        self.B_dph = np.stack(Bps)
         # Contiguous real/imaginary parts: downstream compositions only
         # need real results, so complex GEMMs are split into real pairs.
         self.B_val_re = np.ascontiguousarray(self.B_val.real)
         self.B_val_im = np.ascontiguousarray(self.B_val.imag)
-        self.B_dth_re = np.ascontiguousarray(self.B_dth.real)
-        self.B_dth_im = np.ascontiguousarray(self.B_dth.imag)
-        self.B_dph_re = np.ascontiguousarray(self.B_dph.real)
-        self.B_dph_im = np.ascontiguousarray(self.B_dph.imag)
-        # The three synthesis kinds stacked along the rotated-node axis:
-        # the geometry pass evaluates all of (X, X_theta, X_phi) with one
-        # GEMM pair instead of three.
-        self.B_all_re = np.ascontiguousarray(np.concatenate(
-            [self.B_val_re, self.B_dth_re, self.B_dph_re], axis=1))
-        self.B_all_im = np.ascontiguousarray(np.concatenate(
-            [self.B_val_im, self.B_dth_im, self.B_dph_im], axis=1))
-        self._fused: np.ndarray | None = None
         self._circ: dict | None = None
         # Tables are shared by every same-order cell; when refresh tasks
-        # run on a thread pool the lazy fused/circulant table builds must
-        # happen exactly once.
-        self._fused_lock = threading.Lock()
+        # run on a thread pool the lazy circulant table build must happen
+        # exactly once.
         self._circ_lock = threading.Lock()
-        self._budget_warned = False
         # One table set per (p, q_rot), shared by every same-order cell
         # through the _rotation_tables cache: mark everything read-only.
         freeze_attributes(self)
-
-    #: byte budget of the fused (nlat, nphi, nrot, N) composition table;
-    #: 71 MB at order 8, ~240 MB at order 10, prohibitive beyond — higher
-    #: orders fall back to the staged complex-split composition.
-    FUSED_TABLE_BUDGET = 256e6
-
-    def fused_table(self) -> np.ndarray | None:
-        """Per-(row, target) rotated-synthesis -> grid-density table.
-
-        ``D[i, t] = Re(B_val[i] diag(phases[:, t]) A)`` composes the
-        rotated synthesis, the azimuthal phase shift of target ``t`` and
-        the dense forward SHT in one real (nrot, N) block. The assembly
-        contraction against the (real) kernel fields then needs a single
-        real GEMM per target — no complex split, no separate phase and
-        SHT passes. Stored transposed, (nlat, nphi, N, nrot), so the
-        batched GEMM has its long dimension first (measurably faster than
-        the 7-row-skinny orientation). Geometry-independent, shared by
-        every cell of this order pair; built lazily, ``None`` when over
-        budget.
-        """
-        if self._fused is None:
-            from ..sph import get_transform
-            grid = self.grid
-            n = grid.n_points
-            nbytes = grid.nlat * grid.nphi * self.nrot * n * 8
-            if nbytes > self.FUSED_TABLE_BUDGET:
-                with self._fused_lock:
-                    if not self._budget_warned:
-                        self._budget_warned = True
-                        _log.warning(
-                            "fused self-interaction table at order %d "
-                            "(%.0f MB) exceeds FUSED_TABLE_BUDGET "
-                            "(%.0f MB); falling back to the slower staged "
-                            "assembly — the 'circulant' assembly mode has "
-                            "no such gate",
-                            self.p, nbytes / 1e6,
-                            self.FUSED_TABLE_BUDGET / 1e6)
-                return None
-            with self._fused_lock:
-                if self._fused is not None:     # built by a racing task
-                    return self._fused
-                A = get_transform(self.p).analysis_matrix()[self.packed_rows]
-                D = np.empty((grid.nlat, grid.nphi, n, self.nrot))
-                for t in range(grid.nphi):
-                    PA = self.phases[:, t, None] * A       # (ncoef, N)
-                    D[:, t] = (self.B_val @ PA).real.transpose(0, 2, 1)
-                self._fused = freeze(D)
-        return self._fused
 
     def circulant_tables(self) -> dict:
         """Per-ring azimuthal-mode symbols of the block-circulant assembly.
@@ -423,9 +349,8 @@ def assemble_circulant(tables: _RotationTables,
     X_rot = np.empty((ncell, nlat, nphi, nrot, 3))
     w_rot = np.empty((ncell, nlat, nphi, nrot))
     # The (rows, nphi, nrot, ...) transients scale like O(p^5); bound the
-    # per-chunk working set so it stays cache-resident (cf. the fused
-    # route's policy; tighter here because the whole chunk makes several
-    # elementwise passes).
+    # per-chunk working set so it stays cache-resident (the whole chunk
+    # makes several elementwise passes).
     rows = max(1, int(_CHUNK_BUDGET // (ncell * nphi * nrot * 9 * 8)))
     for a in range(0, nlat, rows):
         sl = slice(a, min(a + rows, nlat))
@@ -512,19 +437,10 @@ class SingularSelfInteraction:
     assembled as a dense matrix at every :meth:`refresh`, so ``apply`` is
     a single matrix-vector product.
 
-    ``assembly`` selects the full-reassembly route (see the module
-    docstring): ``"circulant"`` is the FFT-diagonalized block-circulant
-    assembly, ``"fused"`` the per-target fused route (single pass, with
-    the memory-gated fused table when it fits), and ``"auto"`` (the
-    default, mirrored by ``NumericsOptions.selfop_assembly``) currently
-    always picks ``"circulant"`` — it does strictly less work per
-    assembly and has no order gate; ``"fused"`` remains as the
-    independent reference the equivalence suite pins it against. All
-    routes agree to ~1e-12 and share the same refresh/correction policy.
+    Full reassemblies run the block-circulant route of the module
+    docstring (:func:`assemble_circulant`); intermediate refreshes apply
+    the first-order correction of :meth:`_correct_matrix`.
     """
-
-    #: valid ``assembly`` arguments.
-    ASSEMBLY_MODES = ("auto", "fused", "circulant")
 
     #: smallest best-fit rotation angle (rad) the intermediate refresh
     #: corrects by kernel conjugation; see :meth:`_correct_matrix` for
@@ -533,151 +449,37 @@ class SingularSelfInteraction:
 
     def __init__(self, surface: SpectralSurface, viscosity: float = 1.0,
                  upsample: float = 1.5, refresh_interval: int = 1,
-                 assembly: str = "auto"):
+                 assembly: str = "circulant"):
         self.surface = surface
         self.viscosity = viscosity
         if refresh_interval < 1:
             raise ValueError("refresh_interval must be >= 1, got "
                              f"{refresh_interval}")
-        if assembly not in self.ASSEMBLY_MODES:
+        # `assembly` survives only because bench/probes.py still passes
+        # "circulant"; drop the argument there, then the parameter here.
+        if assembly != "circulant":
             raise ValueError(f"unknown assembly mode {assembly!r}; "
-                             f"expected one of {self.ASSEMBLY_MODES}")
-        #: resolved full-reassembly route, ``"fused"`` or ``"circulant"``.
-        self.assembly_mode = "circulant" if assembly == "auto" else assembly
+                             "expected 'circulant'")
         self.refresh_interval = int(refresh_interval)
         p = surface.order
         q_rot = max(p, int(np.ceil(upsample * p)))
         self.tables = _rotation_tables(p, q_rot)
-        # Packed-row forward SHT (geometry-independent), split for the
-        # real-GEMM composition in :meth:`_assemble_full`.
-        A = surface.transform.analysis_matrix()[self.tables.packed_rows]
-        self._A_re = np.ascontiguousarray(A.real)
-        self._A_im = np.ascontiguousarray(A.imag)
         self._since_full = 0
         self._pending_install = False
         self.refresh(full=True)
 
-    def _assemble_full(self) -> None:
-        """One fused pass: rotated geometry + dense operator assembly.
-
-        The rotated synthesis, the area elements and the kernel
-        contraction all consume the same per-latitude-row intermediates,
-        so they are produced chunk by chunk inside a single loop (the
-        separate ``_prepare_geometry`` / ``_assemble_matrix`` passes used
-        to round-trip the (nlat, nphi, nrot, 3) rotated cloud through
-        memory twice). Per chunk, the Stokeslet contraction exploits the
-        kernel's ``r_k r_j`` symmetry: six symmetric-pair GEMMs plus one
-        trace GEMM against the rotated synthesis replace the dense
-        (nphi*9, nrot) kernel-tensor product, and the (rows, nphi, nrot,
-        3, 3) tensor is never materialized.
-        """
-        surf = self.surface
-        tb = self.tables
-        grid = surf.grid
-        nlat, nphi, nrot, ncoef = grid.nlat, grid.nphi, tb.nrot, tb.ncoef
-        n = grid.n_points
-        scale = 1.0 / (8.0 * np.pi * self.viscosity)
-        packed = pack_coeffs(surf.coeffs()).T                  # (ncoef, 3)
-        C = (packed[:, None, :] * tb.phases[:, :, None]).reshape(ncoef,
-                                                                 nphi * 3)
-        Cr = np.ascontiguousarray(C.real)
-        Ci = np.ascontiguousarray(C.imag)
-        ph_r = tb.phases.T.real[None, :, None, :]
-        ph_i = tb.phases.T.imag[None, :, None, :]
-        D = tb.fused_table()
-        pairs = _STOKESLET_PAIRS
-        X_rot = np.empty((nlat, nphi, nrot, 3))
-        w_rot = np.empty((nlat, nphi, nrot))
-        M = np.empty((nlat, nphi, 3, n, 3))
-        # The (rows, nphi, nrot, 3) transients scale like O(p^5); process
-        # latitude rows in groups bounded by a flat byte budget so the
-        # working set stays cache-resident at high order.
-        rows = max(1, int(24e6 // (nphi * nrot * 9 * 8)))
-        for a in range(0, nlat, rows):
-            sl = slice(a, min(a + rows, nlat))
-            nsl = sl.stop - a
-
-            syn = (tb.B_all_re[sl].reshape(nsl * 3 * nrot, ncoef) @ Cr
-                   - tb.B_all_im[sl].reshape(nsl * 3 * nrot, ncoef) @ Ci)
-            syn = syn.reshape(nsl, 3, nrot, nphi, 3).transpose(1, 0, 3, 2, 4)
-            Xr, Xt, Xp = syn[0], syn[1], syn[2]    # (nsl, nphi, nrot, 3)
-            W = np.linalg.norm(np.cross(Xt, Xp), axis=-1)
-            X_rot[sl] = Xr
-            w_rot[sl] = ((W / tb.row_sin_theta_r[sl, None, :])
-                         * tb.weights[None, None, :])
-
-            r = surf.X[sl, :, None, :] - Xr        # (nsl, nphi, nrot, 3)
-            inv_r = 1.0 / np.sqrt(np.einsum("itsk,itsk->its", r, r))
-            w = scale * w_rot[sl]
-            trace = w * inv_r                      # the delta_kj part
-            g3 = trace * inv_r * inv_r             # w / r^3
-            # Contract each scalar (target, rotated-node) field with the
-            # per-row synthesis matrices: batched real GEMMs over rows.
-            fields = [trace] + [r[..., k] * r[..., j] * g3
-                                for k, j in pairs]
-            if D is not None:
-                # One real GEMM per target against the fused
-                # synthesis-phase-SHT table, scattered straight into the
-                # (velocity comp, node, density comp) block layout.
-                F = np.stack(fields, axis=2)       # (nsl, nphi, 7, nrot)
-                Q = np.matmul(D[sl], F.transpose(0, 1, 3, 2))
-                Msl = M[sl]
-                for idx, (k, j) in enumerate(pairs):
-                    Msl[:, :, k, :, j] = Q[..., 1 + idx]
-                    if k != j:
-                        Msl[:, :, j, :, k] = Q[..., 1 + idx]
-                for k in range(3):
-                    Msl[:, :, k, :, k] += Q[..., 0]
-                continue
-            F = np.stack(fields, axis=2)           # (nsl, nphi, 7, nrot)
-            Qr = np.matmul(F, tb.B_val_re[sl, None])
-            Qi = np.matmul(F, tb.B_val_im[sl, None])
-
-            def expand(Q):
-                """(nsl, nphi, 7, ncoef) -> full (nsl, nphi, 9, ncoef)."""
-                out = np.empty((nsl, nphi, 3, 3, ncoef))
-                for idx, (k, j) in enumerate(pairs):
-                    out[:, :, k, j] = Q[:, :, 1 + idx]
-                    if k != j:
-                        out[:, :, j, k] = Q[:, :, 1 + idx]
-                for k in range(3):
-                    out[:, :, k, k] += Q[:, :, 0]
-                return out.reshape(nsl, nphi, 9, ncoef)
-
-            Qr, Qi = expand(Qr), expand(Qi)
-            # azimuthal phase of each target column
-            Q2r = (Qr * ph_r - Qi * ph_i).reshape(-1, nphi * 9, ncoef)
-            Q2i = (Qr * ph_i + Qi * ph_r).reshape(-1, nphi * 9, ncoef)
-            # compose with the forward transform; densities are real, so
-            # the real part of the composition is the full operator:
-            # Re((Q2r + i Q2i) @ (Ar + i Ai)) = Q2r @ Ar - Q2i @ Ai.
-            Mi = np.matmul(Q2r, self._A_re) - np.matmul(Q2i, self._A_im)
-            M[sl] = (Mi.reshape(-1, nphi, 3, 3, n)
-                     .transpose(0, 1, 2, 4, 3))
-        self.X_rot = X_rot
-        self.w_rot = w_rot
-        self._finalize_full(M.reshape(3 * n, 3 * n))
-
-    def _assemble_circulant(self) -> None:
-        """The FFT-diagonalized block-circulant assembly (module
-        docstring); the single-surface case of :func:`assemble_circulant`.
-        """
+    def _assemble(self) -> None:
+        """Full reassembly: the single-surface case of
+        :func:`assemble_circulant`."""
         M, X_rot, w_rot = assemble_circulant(self.tables, [self.surface],
                                              self.viscosity)
         self.X_rot = X_rot[0]
         self.w_rot = w_rot[0]
         self._finalize_full(M[0])
 
-    def _assemble(self) -> None:
-        """Full reassembly via the configured route."""
-        if self.assembly_mode == "circulant":
-            self._assemble_circulant()
-        else:
-            self._assemble_full()
-
     def _finalize_full(self, matrix: np.ndarray) -> None:
-        """Shared bookkeeping of a full assembly (any route): install the
-        operator and snapshot the reference configuration of the
+        """Shared bookkeeping of a full assembly (own or installed):
+        install the operator and snapshot the reference configuration of the
         intermediate-refresh correction — the best-fit rotation is
         extracted against these points, with the surface quadrature
         weights as the (area-faithful) fit weights."""

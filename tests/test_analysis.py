@@ -144,7 +144,7 @@ class TestFrozenTables:
     def _entries(self):
         from repro.collision.mesh import (_grid_triangulation,
                                           _patch_triangulation)
-        from repro.fmm.treecode import _cube_surface
+        from repro.fmm.kifmm import _cube_surface
         from repro.patches.patch import _sub_interp_matrix, cheb_diff_matrix
         from repro.quadrature.clenshaw_curtis import _cc_cached
         from repro.quadrature.gauss_legendre import _gl_cached
@@ -187,9 +187,6 @@ class TestFrozenTables:
         for key in ("Ec_even", "Ec_odd", "Ci", "Einv_cos"):
             assert not ct[key].flags.writeable
         assert all(not s.flags.writeable for s in ct["syn"])
-        fused = tb.fused_table()
-        if fused is not None:
-            assert not fused.flags.writeable
 
     def test_public_quadrature_still_returns_writable_copies(self):
         from repro.quadrature import clenshaw_curtis, gauss_legendre

@@ -1,15 +1,13 @@
 """Tests of the composable scenario API: ReproConfig serialization,
-presets, the ScenarioBuilder, interaction backends, and the deprecation
-shim for the legacy flag-style configuration."""
+presets, the ScenarioBuilder and interaction backends."""
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import NumericsOptions, ReproConfig, Scenario, presets
-from repro.core import (DirectBackend, Simulation, SimulationConfig,
-                        TreecodeBackend, make_backend)
+from repro.core import DirectBackend, Simulation, make_backend
+from repro.core.interactions import BACKENDS, FMMBackend
 from repro.physics.terms import (BackgroundFlow, Bending, ForceTerm, Gravity,
                                  ShearFlow, Tension, force_term_from_dict,
                                  register_force_term)
@@ -23,7 +21,7 @@ class TestReproConfig:
             dt=0.02, viscosity=2.0,
             forces=[Bending(0.03), Tension(),
                     Gravity(1.5, (0.0, 0.0, -1.0)), ShearFlow(0.7)],
-            backend="treecode", backend_options={"mac": 4.0},
+            backend="fmm", backend_options={"mac": 4.0},
             with_collisions=False,
             numerics=NumericsOptions(patch_quad=7, gmres_max_iter=12))
         assert ReproConfig.from_dict(cfg.to_dict()) == cfg
@@ -114,39 +112,39 @@ class TestReproConfig:
         assert len(cfg2.forces) == len(cfg.forces) + 1
         assert all(not isinstance(t, Gravity) for t in cfg.forces)
 
-
-class TestLegacyShim:
-    def test_simulation_config_still_runs_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="SimulationConfig"):
-            sim = Simulation([sphere(1.0, order=5)],
-                             config=SimulationConfig(dt=0.05,
-                                                     with_collisions=False))
-        rep = sim.step()
-        assert sim.t == pytest.approx(0.05)
-        assert rep.implicit_iterations[0] >= 0
-
-    def test_legacy_flags_map_to_terms(self):
-        def flow(pts):
-            return np.zeros_like(pts)
-
-        legacy = SimulationConfig(dt=0.1, bending_modulus=0.02,
-                                  with_tension=True,
-                                  gravity=(1.5, (0.0, 0.0, -1.0)),
-                                  background_flow=flow)
-        cfg = ReproConfig.from_legacy(legacy)
-        kinds = [type(t) for t in cfg.forces]
-        assert kinds == [Bending, Tension, Gravity, BackgroundFlow]
-        assert cfg.forces[0].modulus == 0.02
-        # legacy attribute-style read must still return a float
-        assert cfg.bending_modulus == 0.02
-
     def test_numerics_not_mutated_by_simulation(self):
         opts = NumericsOptions(gmres_max_iter=17)
+        before = dataclasses.asdict(opts)
         cfg = ReproConfig(viscosity=3.0, with_collisions=False,
                           numerics=opts)
-        Simulation([sphere(1.0, order=5)], config=cfg)
-        assert opts.viscosity == 1.0  # caller's bundle untouched
+        sim = Simulation([sphere(1.0, order=5)], config=cfg)
+        assert sim.stepper.viscosity == 3.0
+        assert dataclasses.asdict(opts) == before
         assert cfg.numerics is opts
+
+    def test_knobs_and_routes_are_pinned(self):
+        """A new numerics knob or interaction route is a deliberate,
+        reviewed diff of this list."""
+        assert [f.name for f in dataclasses.fields(NumericsOptions)] == [
+            "patch_quad", "check_order", "check_r_factor", "upsample_eta",
+            "gmres_max_iter", "gmres_tol", "ncp_max_lcp",
+            "selfop_refresh_interval", "executor", "workers",
+            "farfield_dtype", "debug_checks"]
+        assert sorted(BACKENDS) == ["direct", "fmm"]
+
+    def test_retired_numerics_keys_rejected_by_name(self):
+        """A config written before the route consolidation serialized
+        seven more numerics fields; loading one must fail as data, naming
+        the keys — never a bare TypeError, never a silent drop."""
+        retired = {"sph_order": 8, "patch_order": 8, "viscosity": 1.0,
+                   "selfop_assembly": "fused", "batched_lu": True,
+                   "direct_tension": False, "direct_implicit": True}
+        d = ReproConfig().to_dict()
+        d["numerics"].update(retired)
+        with pytest.raises(ValueError, match="invalid ReproConfig") as exc:
+            ReproConfig.from_dict(d)
+        for key in retired:
+            assert key in str(exc.value)
 
 
 class TestScenarioBuilder:
@@ -173,9 +171,9 @@ class TestScenarioBuilder:
                .config(presets.relaxation())
                .cell(sphere(1.0, order=5))
                .force(Gravity(2.0, (0.0, 0.0, -1.0)))
-               .backend("treecode", mac=4.0)
+               .backend("fmm", mac=4.0)
                .build())
-        assert isinstance(sim.backend, TreecodeBackend)
+        assert isinstance(sim.backend, FMMBackend)
         assert sim.backend.mac == 4.0
         assert any(isinstance(t, Gravity) for t in sim.config.forces)
         z0 = sim.centroids()[0, 2]
@@ -252,37 +250,24 @@ class TestInteractionBackends:
     def test_backend_equivalence_cell_cell(self, three_cell_scene):
         cells, forces = three_cell_scene
         direct = DirectBackend().bind(cells, 1.0)
-        tree = TreecodeBackend().bind(cells, 1.0)
+        fmm = FMMBackend().bind(cells, 1.0)
         direct.prepare(forces)
-        tree.prepare(forces)
-        bd, bt = direct.cell_cell(), tree.cell_cell()
+        fmm.prepare(forces)
+        bd, bt = direct.cell_cell(), fmm.cell_cell()
         for i in range(len(cells)):
             rel = (np.linalg.norm(bd[i] - bt[i])
                    / np.linalg.norm(bd[i]))
             assert rel < 5e-3, f"cell {i}: rel diff {rel:.2e}"
 
-    def test_treecode_batched_cell_cell_matches_generic(self,
-                                                        three_cell_scene):
-        """The near-pair-batched cell_cell override computes exactly what
-        the generic per-source path computes."""
-        from repro.core.interactions import InteractionBackend
-        cells, forces = three_cell_scene
-        tree = TreecodeBackend().bind(cells, 1.0)
-        tree.prepare(forces)
-        batched = tree.cell_cell()
-        generic = InteractionBackend.cell_cell(tree)
-        for bb, gg in zip(batched, generic):
-            assert np.allclose(bb, gg, atol=1e-12)
-
     def test_backend_equivalence_external_targets(self, three_cell_scene):
         cells, forces = three_cell_scene
         direct = DirectBackend().bind(cells, 1.0)
-        tree = TreecodeBackend().bind(cells, 1.0)
+        fmm = FMMBackend().bind(cells, 1.0)
         direct.prepare(forces)
-        tree.prepare(forces)
+        fmm.prepare(forces)
         targets = np.array([[0.0, 0.0, 4.0], [3.0, 0.0, 0.0],
                             [-1.2, 0.1, 0.0]])
-        ud, ut = direct.evaluate_at(targets), tree.evaluate_at(targets)
+        ud, ut = direct.evaluate_at(targets), fmm.evaluate_at(targets)
         assert np.linalg.norm(ud - ut) / np.linalg.norm(ud) < 5e-3
 
     def test_cached_density_matches_fresh(self, three_cell_scene):
@@ -296,8 +281,7 @@ class TestInteractionBackends:
 
     def test_make_backend_registry(self):
         assert isinstance(make_backend("direct"), DirectBackend)
-        assert isinstance(make_backend("treecode", mac=5.0),
-                          TreecodeBackend)
+        assert isinstance(make_backend("fmm", mac=5.0), FMMBackend)
         with pytest.raises(ValueError, match="unknown"):
             make_backend("bogus")
 
@@ -332,22 +316,22 @@ class TestInteractionBackends:
         sim = (Scenario.builder()
                .config(presets.relaxation())
                .cell(sphere(1.0, order=5))
-               .backend(TreecodeBackend(mac=4.0))
+               .backend(FMMBackend(mac=4.0))
                .build())
         d = sim.config.to_dict()
-        assert d["backend"] == "treecode"
+        assert d["backend"] == "fmm"
         assert d["backend_options"]["mac"] == 4.0
         # also via the plain Simulation entry point
         sim2 = Simulation([sphere(1.0, order=5)],
                           config=presets.relaxation(),
-                          backend=TreecodeBackend(mac=5.0))
+                          backend=FMMBackend(mac=5.0))
         assert sim2.config.to_dict()["backend_options"]["mac"] == 5.0
 
     def test_backend_call_overrides_previous_selection(self):
         sim = (Scenario.builder()
                .config(presets.relaxation())
                .cell(sphere(1.0, order=5))
-               .backend(TreecodeBackend(mac=4.0))
+               .backend(FMMBackend(mac=4.0))
                .backend("direct")
                .build())
         assert isinstance(sim.backend, DirectBackend)
@@ -373,7 +357,7 @@ class TestInteractionBackends:
                                check_r_factor=0.25, gmres_max_iter=10)
         vessel = capsule_tube(length=8.0, radius=1.6, refine=0, options=opts)
         g = capsule_inlet_outlet_bc(vessel, axis=2, flux=2.0)
-        for name in ("direct", "treecode"):
+        for name in ("direct", "fmm"):
             cfg = ReproConfig(dt=0.05, backend=name, with_collisions=False,
                               numerics=opts)
             sim = Simulation([], vessel=vessel, boundary_bc=g, config=cfg)
@@ -393,11 +377,11 @@ class TestInteractionBackends:
         be.prepare(forces)  # re-preparing restores evaluation
         be.cell_cell()
 
-    def test_simulation_with_treecode_backend_steps(self):
+    def test_simulation_with_fmm_backend_steps(self):
         cells = [sphere(0.7, center=(-1.6, 0.0, 0.3), order=5),
                  sphere(0.7, center=(1.6, 0.0, -0.3), order=5)]
         cfg = ReproConfig(dt=0.05, forces=[Bending(0.02), ShearFlow(1.0)],
-                          backend="treecode", with_collisions=False)
+                          backend="fmm", with_collisions=False)
         sim = Simulation(cells, config=cfg)
         x0 = sim.centroids()[0, 0]
         sim.run(2)

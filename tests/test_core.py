@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from repro.config import NumericsOptions
-from repro.core import ComponentTimers, Simulation, SimulationConfig
+from repro.config import NumericsOptions, ReproConfig
+from repro.core import ComponentTimers, Simulation
 from repro.patches import capsule_tube
 from repro.physics import bending_energy
+from repro.physics.terms import BackgroundFlow, Bending, Gravity
 from repro.surfaces import biconcave_rbc, ellipsoid, sphere
 from repro.vessel import capsule_inlet_outlet_bc
 from repro.vessel.recycling import OutletRecycler, Region
@@ -38,8 +39,8 @@ class TestTimers:
 class TestFreeSpaceSimulation:
     def test_relaxation_decreases_bending_energy(self):
         e = ellipsoid(1.0, 1.0, 1.4, order=6)
-        cfg = SimulationConfig(dt=0.05, bending_modulus=0.05,
-                               with_collisions=False)
+        cfg = ReproConfig(dt=0.05, forces=[Bending(0.05)],
+                          with_collisions=False)
         sim = Simulation([e], config=cfg)
         E0 = bending_energy(sim.cells[0], cfg.bending_modulus)
         sim.run(3)
@@ -51,8 +52,9 @@ class TestFreeSpaceSimulation:
             u = np.zeros_like(pts)
             u[:, 0] = pts[:, 2]
             return u
-        cfg = SimulationConfig(dt=0.1, background_flow=shear,
-                               with_collisions=False)
+        cfg = ReproConfig(dt=0.1,
+                          forces=[Bending(), BackgroundFlow(shear)],
+                          with_collisions=False)
         sim = Simulation([c], config=cfg)
         x0 = sim.centroids()[0, 0]
         sim.run(2)
@@ -66,8 +68,9 @@ class TestFreeSpaceSimulation:
             u = np.zeros_like(pts)
             u[:, 0] = 0.2 * pts[:, 2]
             return u
-        cfg = SimulationConfig(dt=0.05, background_flow=shear,
-                               with_collisions=False, bending_modulus=0.02)
+        cfg = ReproConfig(dt=0.05,
+                          forces=[Bending(0.02), BackgroundFlow(shear)],
+                          with_collisions=False)
         sim = Simulation([c], config=cfg)
         A0 = sim.total_cell_area()
         sim.run(3)
@@ -81,8 +84,9 @@ class TestFreeSpaceSimulation:
             u = np.zeros_like(pts)
             u[:, 0] = -1.5 * np.sign(pts[:, 0])
             return u
-        cfg = SimulationConfig(dt=0.1, background_flow=squeeze,
-                               with_collisions=True)
+        cfg = ReproConfig(dt=0.1,
+                          forces=[Bending(), BackgroundFlow(squeeze)],
+                          with_collisions=True)
         sim = Simulation([s1, s2], config=cfg)
         reports = sim.run(3)
         assert any(r.ncp is not None and r.ncp.contact_active
@@ -93,8 +97,9 @@ class TestFreeSpaceSimulation:
 
     def test_sedimentation_moves_down(self):
         s = sphere(1.0, center=(0, 0, 0), order=6)
-        cfg = SimulationConfig(dt=0.1, gravity=(1.0, (0, 0, -1.0)),
-                               with_collisions=False)
+        cfg = ReproConfig(dt=0.1,
+                          forces=[Bending(), Gravity(1.0, (0, 0, -1.0))],
+                          with_collisions=False)
         sim = Simulation([s], config=cfg)
         z0 = sim.centroids()[0, 2]
         sim.run(3)
@@ -102,7 +107,7 @@ class TestFreeSpaceSimulation:
 
     def test_history_and_reports(self):
         s = sphere(1.0, order=5)
-        sim = Simulation([s], config=SimulationConfig(
+        sim = Simulation([s], config=ReproConfig(
             dt=0.05, with_collisions=False))
         rep = sim.step()
         assert rep.t == 0.0 and sim.t == 0.05
@@ -119,7 +124,7 @@ class TestVesselSimulation:
         g = capsule_inlet_outlet_bc(vessel, axis=2, flux=2.0)
         cells = [sphere(0.5, center=(0.0, 0.0, -1.0), order=5),
                  sphere(0.5, center=(0.5, 0.3, 1.2), order=5)]
-        cfg = SimulationConfig(dt=0.05, numerics=opts)
+        cfg = ReproConfig(dt=0.05, numerics=opts)
         return Simulation(cells, vessel=vessel, boundary_bc=g, config=cfg)
 
     def test_step_runs_and_reports(self, vessel_sim):
@@ -150,7 +155,7 @@ class TestVesselSimulation:
         rec = OutletRecycler(
             inlets=[Region(center=np.array([0.0, 0, -5.0]), radius=1.0)],
             outlets=[Region(center=np.array([0.0, 0, 5.0]), radius=1.0)])
-        sim = Simulation(cells, config=SimulationConfig(
+        sim = Simulation(cells, config=ReproConfig(
             dt=0.01, with_collisions=False, numerics=opts), recycler=rec)
         rep = sim.step()
         assert rep.recycled == [0]

@@ -122,15 +122,6 @@ def _scene(**numopts):
 
 
 class TestDirectVsIterativeTrajectories:
-    def test_trajectories_match_over_5_steps(self):
-        direct = _scene()
-        iterative = _scene(direct_tension=False, direct_implicit=False)
-        direct.run(5)
-        iterative.run(5)
-        err = max(np.abs(a.X - b.X).max()
-                  for a, b in zip(direct.cells, iterative.cells))
-        assert err <= 1e-8
-
     def test_direct_reports_zero_inner_iterations(self):
         sim = _scene()
         rep = sim.step()
@@ -140,15 +131,17 @@ class TestDirectVsIterativeTrajectories:
         """A mid-run dt change at frozen geometry must not reuse the
         factorization built for the old dt."""
         cells = [ellipsoid(1.0, 1.0, 1.4, order=4)]
-        stepper = TimeStepper(cells, bending_modulus=0.05)
+        stepper = TimeStepper(cells, forces=[Bending(0.05)])
         b = np.zeros(cells[0].X.shape)
+        stepper._prepare_implicit(0.05)
         X1, it1, conv1 = stepper._implicit_update(0, b, 0.05)
         assert it1 == 0 and conv1            # factorized for dt=0.05
         X2, it2, conv2 = stepper._implicit_update(0, b, 0.025)
         assert it2 > 0 and conv2             # GMRES fallback, not stale LU
         # and the fallback solves the dt=0.025 problem, not the old one
         ref_stepper = TimeStepper([ellipsoid(1.0, 1.0, 1.4, order=4)],
-                                  bending_modulus=0.05)
+                                  forces=[Bending(0.05)])
+        ref_stepper._prepare_implicit(0.025)
         X2_ref, _, _ = ref_stepper._implicit_update(0, b, 0.025)
         assert np.abs(X2 - X2_ref).max() <= 1e-7
 
@@ -295,37 +288,3 @@ class TestAmortizedSelfOpRefresh:
         fresh = SingularSelfInteraction(sim.cells[i])
         assert np.abs(op.matrix - fresh.matrix).max() <= \
             1e-12 * np.abs(fresh.matrix).max()
-
-
-class TestFusedAssemblyPaths:
-    def test_fused_table_and_fallback_agree(self):
-        from repro.vesicle.self_interaction import _RotationTables
-        s = ellipsoid(1.0, 1.2, 0.9, order=5)
-        # explicit mode: the default assembly is "circulant" now, which
-        # never consults the fused table
-        op = SingularSelfInteraction(s, assembly="fused")
-        fast = op.matrix.copy()
-        tb = op.tables
-        saved, tb._fused = tb._fused, None
-        budget = _RotationTables.FUSED_TABLE_BUDGET
-        try:
-            _RotationTables.FUSED_TABLE_BUDGET = 0
-            op.refresh(full=True)
-            # ulp-level, not exactly 0.0: the table folds the phase into
-            # the composition before the kernel contraction, the staged
-            # fallback applies it after. (The seed asserted == 0.0, but
-            # its budget patch landed on the lru_cache wrapper rather
-            # than the class and never actually exercised the fallback;
-            # _RotationTables is a plain class now, so this test finally
-            # runs the path it names.)
-            assert np.abs(op.matrix - fast).max() <= 1e-14
-        finally:
-            _RotationTables.FUSED_TABLE_BUDGET = budget
-            tb._fused = saved
-
-    def test_matrix_matches_reference_apply(self):
-        s = biconcave_rbc(1.0, order=5)
-        op = SingularSelfInteraction(s)
-        rng = np.random.default_rng(9)
-        f = rng.standard_normal((s.grid.nlat, s.grid.nphi, 3))
-        assert np.abs(op.apply(f) - op.apply_reference(f)).max() <= 1e-12

@@ -172,10 +172,10 @@ class TestExecutorEquivalence:
         threaded.run(3)
         assert _max_dev(serial, threaded) == 0.0
 
-    def test_treecode_backend_threaded_matches_serial(self):
+    def test_fmm_backend_threaded_matches_serial(self):
         cells = [biconcave_rbc(1.0, center=(2.4 * i, 0.0, 0.0), order=5)
                  for i in range(3)]
-        cfg = dict(dt=0.05, forces=[Bending(0.01)], backend="treecode",
+        cfg = dict(dt=0.05, forces=[Bending(0.01)], backend="fmm",
                    with_collisions=False)
         a = Simulation([c.translated(0) for c in cells],
                        config=ReproConfig(**cfg))
@@ -214,15 +214,14 @@ class TestFarfieldFloat32:
         got = ev32.evaluate(den, trg)
         assert np.array_equal(ref, got)
 
-    def test_treecode_equivalent_sums_accuracy(self):
-        from repro.fmm import KernelIndependentTreecode
+    def test_fmm_equivalent_sums_accuracy(self):
+        from repro.fmm import GlobalKIFMM
         rng = np.random.default_rng(5)
         src = rng.standard_normal((500, 3))
         den = rng.standard_normal((500, 3))
         trg = rng.standard_normal((100, 3)) + np.array([12.0, 0, 0])
-        t64 = KernelIndependentTreecode(src, den, "stokes_slp")
-        t32 = KernelIndependentTreecode(src, den, "stokes_slp",
-                                        farfield_dtype="float32")
+        t64 = GlobalKIFMM(src, den, "stokes_slp")
+        t32 = GlobalKIFMM(src, den, "stokes_slp", farfield_dtype="float32")
         ref = t64.evaluate(trg)
         got = t32.evaluate(trg)
         rel = np.abs(got - ref).max() / np.abs(ref).max()
@@ -465,7 +464,7 @@ class TestProcessExecutor:
         assert [r.implicit_iterations for r in serial.history] == \
             [r.implicit_iterations for r in sharded.history]
 
-    @pytest.mark.parametrize("backend", ["treecode", "fmm"])
+    @pytest.mark.parametrize("backend", ["fmm"])
     def test_far_field_backends_bit_identical(self, backend):
         serial = _scene(ncells=6, order=8, backend=backend)
         sharded = _scene(ncells=6, order=8, backend=backend,

@@ -8,7 +8,7 @@ from repro.analysis.faultinject import force_unresolved_contact, inject_nan
 from repro.bie import BoundarySolver
 from repro.collision import NCPSolver, solve_lcp
 from repro.config import NumericsOptions, ReproConfig, ResilienceOptions
-from repro.core import Simulation, SimulationConfig
+from repro.core import Simulation
 from repro.fmm import Octree
 from repro.patches import cube_sphere
 from repro.physics.terms import Bending, Tension
@@ -40,7 +40,7 @@ class TestDegenerateInputs:
 
     def test_simulation_volume_fraction_requires_lumen(self):
         sim = Simulation([sphere(1.0, order=4)],
-                         config=SimulationConfig(with_collisions=False))
+                         config=ReproConfig(with_collisions=False))
         with pytest.raises(ValueError):
             sim.volume_fraction()
         assert sim.volume_fraction(lumen_volume=100.0) > 0
@@ -79,7 +79,7 @@ class TestSolverRobustness:
 
     def test_stepper_zero_dt_is_identity_up_to_contact(self):
         s = sphere(1.0, order=5)
-        sim = Simulation([s], config=SimulationConfig(
+        sim = Simulation([s], config=ReproConfig(
             dt=0.0, with_collisions=False))
         X0 = sim.cells[0].X.copy()
         sim.step()
@@ -102,8 +102,8 @@ class TestFaultInjectedRecovery:
 
     def test_nan_farfield_degrades_backend_and_run_stays_healthy(self):
         # NaN in the fast backend's far-field output -> graceful
-        # degradation treecode -> direct, sticky for the rest of the run.
-        sim = _resilient_scene(backend="treecode")
+        # degradation fmm -> direct, sticky for the rest of the run.
+        sim = _resilient_scene(backend="fmm")
         with inject_nan(sim.backend, "cell_cell") as counter:
             rep = sim.step()
         assert counter.fired == 1
@@ -168,3 +168,21 @@ class TestCheckpointForwardCompat:
         resumed = load_checkpoint(path)
         for a, b in zip(sim.cells, resumed.cells):
             assert np.array_equal(a.X, b.X)
+
+    def test_retired_numerics_keys_are_rejected(self, tmp_path):
+        # A checkpoint written before the route consolidation carries
+        # numerics knobs that no longer exist; it must fail as data (the
+        # ReproConfig ValueError naming the keys), not load as if the
+        # retired knobs had been at their defaults.
+        sim = _resilient_scene()
+        path = save_checkpoint(sim, str(tmp_path / "old"))
+        with np.load(path, allow_pickle=False) as data:
+            payload = {k: data[k] for k in data.files}
+        manifest = json.loads(str(payload["manifest"]))
+        manifest["config"]["numerics"].update(
+            selfop_assembly="fused", direct_tension=False)
+        payload["manifest"] = np.array(json.dumps(manifest))
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match="invalid ReproConfig.*"
+                           "direct_tension.*selfop_assembly"):
+            load_checkpoint(path)

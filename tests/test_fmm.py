@@ -1,10 +1,8 @@
-"""Octree, kernel-independent treecode, and global KIFMM tests."""
+"""Octree and global KIFMM tests."""
 import numpy as np
 import pytest
 
-from repro.fmm import (GlobalKIFMM, KernelIndependentTreecode, Octree,
-                       laplace_slp_fmm, stokes_slp_fmm,
-                       stokes_slp_global_fmm)
+from repro.fmm import GlobalKIFMM, Octree, stokes_slp_global_fmm
 from repro.fmm.kifmm import _apply_m2l, _m2l_matrix, _offset_symmetry
 from repro.kernels import laplace_slp_apply, stokes_slp_apply
 from repro.runtime.executor import CheckedExecutor
@@ -222,8 +220,23 @@ class TestGlobalKIFMM:
         trg = rng.normal(size=(40, 3)) + 15.0
         fmm = GlobalKIFMM(src, den, "stokes_slp")
         u = fmm.evaluate(trg)
+        assert fmm.stats["p2p"] == 0      # everything well-separated
         ref = stokes_slp_apply(src, den, trg)
         assert np.abs(u - ref).max() / np.abs(ref).max() < 1e-3
+
+    def test_linearity(self, rng):
+        n = 800
+        src = rng.normal(size=(n, 3))
+        q1 = rng.normal(size=(n, 1))
+        q2 = rng.normal(size=(n, 1))
+        trg = rng.normal(size=(20, 3)) * 3
+
+        def u(q):
+            return GlobalKIFMM(src, q, "laplace_slp").evaluate(trg)
+
+        u12 = u(q1) + u(q2)
+        assert np.abs(u(q1 + q2) - u12).max() \
+            < 1e-10 * max(1.0, np.abs(u12).max()) + 1e-8
 
     def test_stats_counters(self, rng):
         n = 3000
@@ -251,65 +264,3 @@ class TestGlobalKIFMM:
         u_checked = checked.evaluate(trg)
         assert u_serial.tobytes() == u_checked.tobytes()
         assert serial.stats == checked.stats
-
-
-class TestTreecode:
-    def test_stokes_matches_direct(self, rng):
-        n = 3000
-        src = rng.normal(size=(n, 3))
-        den = rng.normal(size=(n, 3)) / n
-        trg = rng.normal(size=(60, 3)) * 1.5
-        ref = stokes_slp_apply(src, den, trg)
-        u = stokes_slp_fmm(src, den, trg)
-        assert np.abs(u - ref).max() / np.abs(ref).max() < 2e-2
-
-    def test_laplace_matches_direct(self, rng):
-        n = 3000
-        src = rng.normal(size=(n, 3))
-        q = rng.normal(size=n) / n
-        trg = rng.normal(size=(60, 3)) * 1.5
-        ref = laplace_slp_apply(src, q, trg)
-        u = laplace_slp_fmm(src, q, trg)
-        assert np.abs(u - ref).max() / np.abs(ref).max() < 5e-3
-
-    def test_accuracy_improves_with_equiv_resolution(self, rng):
-        n = 2000
-        src = rng.normal(size=(n, 3))
-        q = rng.normal(size=n) / n
-        trg = rng.normal(size=(40, 3)) * 2.0
-        ref = laplace_slp_apply(src, q, trg)
-        errs = []
-        for e in (3, 6):
-            u = laplace_slp_fmm(src, q, trg, equiv_points_per_edge=e)
-            errs.append(np.abs(u - ref).max())
-        assert errs[1] < errs[0] * 0.5
-
-    def test_far_targets_use_multipoles(self, rng):
-        n = 2000
-        src = rng.normal(size=(n, 3)) * 0.5
-        den = rng.normal(size=(n, 3)) / n
-        trg = rng.normal(size=(50, 3)) + 20.0
-        tc = KernelIndependentTreecode(src, den, "stokes_slp")
-        u = tc.evaluate(trg)
-        assert tc.stats["p2p"] == 0       # everything well-separated
-        ref = stokes_slp_apply(src, den, trg)
-        assert np.abs(u - ref).max() / np.abs(ref).max() < 1e-3
-
-    def test_self_evaluation_skips_zero_distance(self, rng):
-        n = 500
-        src = rng.normal(size=(n, 3))
-        den = rng.normal(size=(n, 3)) / n
-        tc = KernelIndependentTreecode(src, den, "stokes_slp", max_leaf=64)
-        u = tc.evaluate(src)
-        ref = stokes_slp_apply(src, den, src)
-        assert np.abs(u - ref).max() / np.abs(ref).max() < 5e-2
-
-    def test_linearity(self, rng):
-        n = 800
-        src = rng.normal(size=(n, 3))
-        q1 = rng.normal(size=n)
-        q2 = rng.normal(size=n)
-        trg = rng.normal(size=(20, 3)) * 3
-        u = laplace_slp_fmm(src, q1 + q2, trg)
-        u12 = laplace_slp_fmm(src, q1, trg) + laplace_slp_fmm(src, q2, trg)
-        assert np.abs(u - u12).max() < 1e-10 * max(1.0, np.abs(u).max()) + 1e-8

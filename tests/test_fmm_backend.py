@@ -12,8 +12,7 @@ import pytest
 
 from repro import ReproConfig, Scenario
 from repro.core import make_backend
-from repro.core.interactions import (DirectBackend, FMMBackend,
-                                     TreecodeBackend)
+from repro.core.interactions import DirectBackend, FMMBackend
 from repro.runtime.executor import CheckedExecutor
 from repro.surfaces import biconcave_rbc, sphere
 
@@ -129,11 +128,11 @@ class TestFMMBackendIntegration:
 
 @pytest.mark.slow
 class TestFMMBackendRace:
-    def test_fmm_beats_direct_and_treecode_at_64_cells(self):
+    def test_fmm_beats_direct_at_64_cells(self):
         cells, forces = lattice_scene(64, 16)
         wall = {}
         results = {}
-        for name in ("direct", "treecode", "fmm"):
+        for name in ("direct", "fmm"):
             be = make_backend(name).bind(cells, 1.0)
             t0 = time.perf_counter()
             be.prepare(forces)
@@ -141,4 +140,3 @@ class TestFMMBackendRace:
             wall[name] = time.perf_counter() - t0
         assert rel_error(results["direct"], results["fmm"]) < 5e-3
         assert wall["fmm"] < wall["direct"]
-        assert wall["fmm"] < wall["treecode"]

@@ -1,10 +1,8 @@
-"""Tests for the GMRES implementation, LU layers and block helpers."""
+"""Tests for the GMRES implementation and the LU layers."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.linalg import (LUFactorization, StackedLUFactorization,
-                          flatten_fields, gmres, unflatten_fields)
+from repro.linalg import LUFactorization, StackedLUFactorization, gmres
 
 
 class TestStackedLU:
@@ -30,8 +28,8 @@ class TestStackedLU:
 
     def test_singular_slice_warns_like_lu_factor(self, rng):
         # scipy's lu_factor warns (LinAlgWarning) on an exactly-singular
-        # matrix and keeps going; the stacked path must match so the
-        # batched_lu toggle never changes whether a run completes
+        # matrix and keeps going; the stacked path must match so a
+        # singular slice never decides whether a run completes
         scipy_linalg = pytest.importorskip("scipy.linalg")
         A = rng.normal(size=(2, 6, 6)) + 6.0 * np.eye(6)
         A[1, 0, :] = 0.0
@@ -122,34 +120,3 @@ class TestGMRES:
         b = rng.normal(size=n)
         res = gmres(lambda x: A @ x, b, tol=1e-10, max_iter=n)
         assert res.converged
-
-
-class TestBlocks:
-    def test_roundtrip(self, rng):
-        fields = [rng.normal(size=(4, 3)), rng.normal(size=7),
-                  rng.normal(size=(2, 2, 2))]
-        flat, shapes = flatten_fields(fields)
-        back = unflatten_fields(flat, shapes)
-        for a, b in zip(fields, back):
-            assert np.allclose(a, b)
-
-    def test_empty(self):
-        flat, shapes = flatten_fields([])
-        assert flat.size == 0
-        assert unflatten_fields(flat, shapes) == []
-
-    def test_size_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            unflatten_fields(np.zeros(5), [(2, 3)])
-
-    @given(st.lists(st.integers(min_value=1, max_value=6),
-                    min_size=1, max_size=4))
-    @settings(max_examples=25, deadline=None)
-    def test_property_roundtrip_any_shapes(self, sizes):
-        rng = np.random.default_rng(0)
-        fields = [rng.normal(size=(s, 3)) for s in sizes]
-        flat, shapes = flatten_fields(fields)
-        assert flat.size == sum(3 * s for s in sizes)
-        back = unflatten_fields(flat, shapes)
-        for a, b in zip(fields, back):
-            assert np.array_equal(a, b)

@@ -23,8 +23,7 @@ from repro.physics.terms import Bending, Tension
 from repro.resilience import (CHECKPOINT_VERSION, HealthSentinel,
                               StepRejectedError, WarnOnceRegistry,
                               capture_state, load_checkpoint,
-                              reset_warnings, restore_state,
-                              save_checkpoint, warn_once)
+                              restore_state, save_checkpoint)
 from repro.surfaces.shapes import biconcave_rbc, sphere
 
 
@@ -48,17 +47,6 @@ def _states_equal(a, b):
         all(np.array_equal(x, y) for x, y in zip(a[1], b[1]))
 
 
-class TestWarnOnce:
-    def test_fires_once_per_key(self):
-        reset_warnings()
-        try:
-            assert warn_once("test-key-a", "message a")
-            assert not warn_once("test-key-a", "message a again")
-            assert warn_once("test-key-b", "message b")
-        finally:
-            reset_warnings()
-
-
 class TestWarnOnceRegistry:
     def test_registries_do_not_suppress_each_other(self):
         a, b = WarnOnceRegistry(), WarnOnceRegistry()
@@ -75,12 +63,6 @@ class TestWarnOnceRegistry:
         assert a.warn_once("k", "m")        # a forgot
         assert not b.warn_once("k", "m")    # b did not
 
-    def test_module_shim_reset_leaves_simulations_alone(self):
-        sim = _scene(ncell=1)
-        assert sim.stepper.warnings.warn_once("k", "m")
-        reset_warnings()                    # the deprecated global shim
-        assert not sim.stepper.warnings.warn_once("k", "m")
-
     def test_degradation_warning_fires_once_per_simulation(self, caplog):
         """Regression: pre-PR the first simulation to degrade its
         backend silenced that warning for every other simulation in the
@@ -89,7 +71,7 @@ class TestWarnOnceRegistry:
         with caplog.at_level(logging.WARNING,
                              logger="repro.resilience.health"):
             for _ in range(2):
-                sim = _scene(ncell=2, backend="treecode")
+                sim = _scene(ncell=2, backend="fmm")
                 with inject_nan(sim.backend, "cell_cell"):
                     rep = sim.step()
                 assert rep.backend_degraded_to == "direct"
@@ -250,9 +232,7 @@ class TestRetryAndRejection:
 
 class TestBackendDegradation:
     def test_nan_farfield_degrades_to_next_backend(self):
-        sim = _scene(ncell=2, backend="treecode",
-                     resilience=ResilienceOptions(
-                         degradation_order=("treecode", "direct")))
+        sim = _scene(ncell=2, backend="fmm")
         ref = _scene(ncell=2, backend="direct")
         with inject_nan(sim.backend, "cell_cell") as counter:
             rep = sim.step()
@@ -270,7 +250,7 @@ class TestBackendDegradation:
 
     def test_exhausted_chain_falls_through_to_dt_retry(self):
         sim = _scene(ncell=2, resilience=ResilienceOptions(
-            max_retries=1, degradation_order=("treecode", "direct")))
+            max_retries=1))
         # active backend is "direct": no fallback exists, so a persistent
         # NaN goes down the dt-retry path and exhausts the budget
         with inject_nan(sim.backend, "cell_cell", count=99):
@@ -395,7 +375,7 @@ class TestResilienceOptionsSerialization:
 
     def test_config_json_round_trip(self):
         cfg = ReproConfig(resilience=ResilienceOptions(
-            max_retries=9, degradation_order=("treecode", "direct")))
+            max_retries=9, degradation_order=("direct",)))
         back = ReproConfig.from_json(cfg.to_json())
         assert back.resilience == cfg.resilience
         assert isinstance(back.resilience.degradation_order, tuple)

@@ -1,46 +1,40 @@
-"""Cross-path operator-equivalence suite for the singular self-interaction.
+"""Operator-equivalence suite for the singular self-interaction.
 
-The dense self-interaction operator has four independently implemented
-routes: the seed re-synthesis evaluation (``apply_reference``), the fused
-single-pass assembly, the fused *table* assembly (memory-gated), and the
-FFT-diagonalized block-circulant assembly. This suite pins them against
-each other across orders and shapes — including a randomly perturbed
-(non-symmetric) surface, which exercises the claim that the circulant
-route's structure lives in the parametrization, not the geometry — and
-checks that the refresh-amortization policy (dilation rescale + gated
-Kabsch conjugation) behaves identically under every assembly mode.
+The dense self-interaction operator is assembled by the FFT-diagonalized
+block-circulant route and pinned here against the independently
+implemented seed re-synthesis evaluation (``apply_reference``) across
+orders and shapes — including a randomly perturbed (non-symmetric)
+surface, which exercises the claim that the circulant route's structure
+lives in the parametrization, not the geometry — and through the
+refresh-amortization policy (dilation rescale + gated Kabsch
+conjugation).
 
 It also covers the companions that ride on the same machinery: the
 stacked same-order group assembly (``CellBatch.assemble_selfops``), the
-stacked getrf/getrs direct solves (``NumericsOptions.batched_lu``), the
-one-time fused-table budget warning, the cylindrical-frame block
-circulance of an axisymmetric surface (the geometric limit of the
-structure), and an order-12 scene that the fused-table gate previously
-made impractical (``slow`` marker; the default CI lane runs
-``-m "not slow"``).
+stacked getrf/getrs direct solves against per-cell LAPACK, the
+cylindrical-frame block circulance of an axisymmetric surface (the
+geometric limit of the structure), and an order-12 operator (``slow``
+marker; the default CI lane runs ``-m "not slow"``).
 """
-import logging
-
 import numpy as np
 import pytest
 
-from repro.config import NumericsOptions, ReproConfig
+from repro.config import ReproConfig
 from repro.core.cellbatch import CellBatch
 from repro.core.simulation import Simulation
+from repro.linalg import LUFactorization
 from repro.physics.terms import Bending, Gravity, Tension
 from repro.surfaces import SpectralSurface, biconcave_rbc, ellipsoid, sphere
 from repro.vesicle import SingularSelfInteraction, assemble_circulant
-from repro.vesicle.self_interaction import _RotationTables
 
-#: The assembly routes must agree pairwise to this (issue acceptance).
+#: The assembled operator must match the reference evaluation to this.
 TOL = 1e-10
 
 SHAPES = ("sphere", "ellipsoid", "rbc", "perturbed")
 
 
 def order_params():
-    """Orders {4, 6, 8, 10}; order 10 (the fused-table budget edge) only
-    in the full lane."""
+    """Orders {4, 6, 8, 10}; order 10 only in the full lane."""
     return [pytest.param(o, marks=pytest.mark.slow) if o >= 10 else o
             for o in (4, 6, 8, 10)]
 
@@ -72,67 +66,27 @@ def make_shape(name: str, order: int) -> SpectralSurface:
     return SpectralSurface(base.X + bump, order)
 
 
-def fused_ops(surf, viscosity=1.0, refresh_interval=1, table=True):
-    """The fused route twice: with its table (when in budget) and with
-    the table force-rejected (the staged single-pass fallback).
-    ``table=False`` skips the table-backed operator entirely — its slot
-    comes back ``None`` — so high orders never build the table just to
-    discard it (at order 10 it is the ~240 MB budget edge, and the
-    lru-cached tables would keep it resident for the whole session)."""
-    with_table = None
-    if table:
-        with_table = SingularSelfInteraction(
-            surf, viscosity=viscosity, refresh_interval=refresh_interval,
-            assembly="fused")
-    saved_budget = _RotationTables.FUSED_TABLE_BUDGET
-    try:
-        # budget 0 short-circuits fused_table() before it consults the
-        # cached table, so an already-built table is left untouched
-        _RotationTables.FUSED_TABLE_BUDGET = 0
-        single_pass = SingularSelfInteraction(
-            surf, viscosity=viscosity, refresh_interval=refresh_interval,
-            assembly="fused")
-    finally:
-        _RotationTables.FUSED_TABLE_BUDGET = saved_budget
-    return with_table, single_pass
+def assert_matches_reference(surf, seed):
+    """Assembled (circulant) operator vs the seed re-synthesis
+    evaluation on a random density."""
+    op = SingularSelfInteraction(surf, viscosity=1.3)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((surf.grid.nlat, surf.grid.nphi, 3))
+    assert np.abs(op.apply(f) - op.apply_reference(f)).max() <= TOL
 
 
 class TestAssemblyRouteEquivalence:
     @pytest.mark.parametrize("order", order_params())
     @pytest.mark.parametrize("shape", SHAPES)
     def test_routes_agree(self, order, shape):
-        surf = make_shape(shape, order)
-        mu = 1.3
-        circ = SingularSelfInteraction(surf, viscosity=mu,
-                                       assembly="circulant")
-        # The fused table at order 10 is the 240 MB budget edge; build it
-        # only up to order 8 and keep the staged single-pass route (the
-        # same contraction without the table) everywhere.
-        if order <= 8:
-            fused, single = fused_ops(surf, viscosity=mu)
-            assert fused.tables.fused_table() is not None
-            routes = {"fused-table": fused, "fused-single-pass": single}
-        else:
-            _, single = fused_ops(surf, viscosity=mu, table=False)
-            routes = {"fused-single-pass": single}
-        for name, op in routes.items():
-            err = np.abs(op.matrix - circ.matrix).max()
-            assert err <= TOL, f"circulant vs {name}: {err:.2e}"
-        # ... and against the seed re-synthesis evaluation.
-        rng = np.random.default_rng(order)
-        f = rng.standard_normal((surf.grid.nlat, surf.grid.nphi, 3))
-        assert np.abs(circ.apply(f) - circ.apply_reference(f)).max() <= TOL
+        assert_matches_reference(make_shape(shape, order), seed=order)
 
-    def test_auto_resolves_to_circulant(self):
+    def test_only_circulant_assembly_accepted(self):
         surf = sphere(1.0, order=4)
-        op = SingularSelfInteraction(surf)
-        assert op.assembly_mode == "circulant"
-        with pytest.raises(ValueError, match="assembly"):
-            SingularSelfInteraction(surf, assembly="blockwise")
-
-    def test_config_validates_assembly_mode(self):
-        with pytest.raises(ValueError, match="selfop_assembly"):
-            ReproConfig(numerics=NumericsOptions(selfop_assembly="nope"))
+        SingularSelfInteraction(surf, assembly="circulant")
+        for retired in ("auto", "fused"):
+            with pytest.raises(ValueError, match="assembly"):
+                SingularSelfInteraction(surf, assembly=retired)
 
 
 class TestCylindricalCirculance:
@@ -159,7 +113,7 @@ class TestCylindricalCirculance:
 
     @staticmethod
     def _cylindrical_blocks(surf):
-        op = SingularSelfInteraction(surf, assembly="circulant")
+        op = SingularSelfInteraction(surf)
         grid = surf.grid
         n = grid.n_points
         M = op.matrix.reshape(grid.nlat, grid.nphi, 3, grid.nlat,
@@ -170,24 +124,15 @@ class TestCylindricalCirculance:
                          optimize=True)
 
 
-class TestRefreshPolicyAcrossModes:
-    MODES = ("fused", "circulant")
-
-    def _ops(self, interval=3):
-        ops = {}
-        for mode in self.MODES:
-            surf = biconcave_rbc(1.0, order=5)
-            ops[mode] = SingularSelfInteraction(
-                surf, refresh_interval=interval, assembly=mode)
-        return ops
-
+class TestRefreshPolicy:
     @staticmethod
-    def _move(op, motion):
-        op.surface.set_positions(motion(op.surface.X))
-        return op.refresh()
+    def _fresh_matrix(op):
+        return SingularSelfInteraction(
+            SpectralSurface(op.surface.X, op.surface.order)).matrix
 
-    def test_amortization_and_kabsch_identical_under_every_mode(self):
-        ops = self._ops(interval=3)
+    def test_amortization_schedule_and_kabsch_correction(self):
+        op = SingularSelfInteraction(biconcave_rbc(1.0, order=5),
+                                     refresh_interval=3)
         angle = 0.04                      # > KABSCH_MIN_ANGLE: conjugates
         R = np.array([[np.cos(angle), -np.sin(angle), 0.0],
                       [np.sin(angle), np.cos(angle), 0.0],
@@ -200,26 +145,24 @@ class TestRefreshPolicyAcrossModes:
             lambda X: X + np.array([0.0, 0.3, 0.0]),   # due: full reassembly
             lambda X: X * 0.99,
         ]
-        fulls = {mode: [] for mode in self.MODES}
-        for k, motion in enumerate(motions):
-            mats = {}
-            for mode, op in ops.items():
-                fulls[mode].append(self._move(op, motion))
-                mats[mode] = op.matrix.copy()
-            assert np.abs(mats["fused"] - mats["circulant"]).max() <= TOL, \
-                f"refresh {k}"
-        # identical full-reassembly schedule (policy state is shared
-        # logic, not per-route)
-        assert fulls["fused"] == fulls["circulant"] == [False, False, True,
-                                                        False]
+        # the correction is exact for a similarity of the last full
+        # assembly; the noisy rotation is only close to one (the operator
+        # entries are ~7e-2, the stale-geometry error ~3e-4)
+        tols = [TOL, 1e-3, TOL, TOL]
+        fulls = []
+        for k, (motion, tol) in enumerate(zip(motions, tols)):
+            op.surface.set_positions(motion(op.surface.X))
+            fulls.append(op.refresh())
+            err = np.abs(op.matrix - self._fresh_matrix(op)).max()
+            assert err <= tol, f"refresh {k}"
+        assert fulls == [False, False, True, False]
 
-    def test_forced_full_identical_under_every_mode(self):
-        ops = self._ops(interval=4)
-        for op in ops.values():
-            op.surface.set_positions(op.surface.X * 1.1)
-            assert op.refresh(full=True) is True
-        assert np.abs(ops["fused"].matrix
-                      - ops["circulant"].matrix).max() <= TOL
+    def test_forced_full_reassembles(self):
+        op = SingularSelfInteraction(biconcave_rbc(1.0, order=5),
+                                     refresh_interval=4)
+        op.surface.set_positions(op.surface.X * 1.1)
+        assert op.refresh(full=True) is True
+        assert np.array_equal(op.matrix, self._fresh_matrix(op))
 
 
 class TestStackedGroupAssembly:
@@ -229,8 +172,7 @@ class TestStackedGroupAssembly:
 
     def test_stacked_slices_match_per_cell(self):
         cells = self._cells()
-        ops = [SingularSelfInteraction(c, assembly="circulant")
-               for c in cells]
+        ops = [SingularSelfInteraction(c) for c in cells]
         M, X_rot, w_rot = assemble_circulant(ops[0].tables, cells, 1.0)
         for i, op in enumerate(ops):
             assert np.abs(M[i] - op.matrix).max() <= 1e-14
@@ -239,14 +181,13 @@ class TestStackedGroupAssembly:
 
     def test_order_mismatch_rejected(self):
         cells = self._cells(2)
-        op = SingularSelfInteraction(cells[0], assembly="circulant")
+        op = SingularSelfInteraction(cells[0])
         with pytest.raises(ValueError, match="order"):
             assemble_circulant(op.tables, [sphere(1.0, order=4)], 1.0)
 
     def test_install_consumed_by_next_refresh(self):
         cells = self._cells()
-        ops = [SingularSelfInteraction(c, assembly="circulant")
-               for c in cells]
+        ops = [SingularSelfInteraction(c) for c in cells]
         batch = CellBatch(cells)
         for c in cells:
             c.set_positions(c.X * 1.01)
@@ -264,8 +205,7 @@ class TestStackedGroupAssembly:
 
     def test_mixed_order_groups(self):
         cells = self._cells(2, order=6) + self._cells(1, order=5)
-        ops = [SingularSelfInteraction(c, assembly="circulant")
-               for c in cells]
+        ops = [SingularSelfInteraction(c) for c in cells]
         batch = CellBatch(cells)
         expected = [op.matrix.copy() for op in ops]
         batch.assemble_selfops(ops, [0, 1, 2])
@@ -273,99 +213,60 @@ class TestStackedGroupAssembly:
             assert np.abs(op.matrix - ref).max() <= 1e-14
 
 
-def _scene(ncells=3, order=5, **numopts):
+def _scene(ncells=3, order=5):
     cells = [biconcave_rbc(1.0, center=(2.35 * (k % 2), 2.35 * (k // 2),
                                         0.1 * k), order=order)
              for k in range(ncells)]
     cfg = ReproConfig(
         dt=0.05, viscosity=1.0,
         forces=[Bending(0.01), Tension(), Gravity(0.4, (0.0, 0.0, -1.0))],
-        backend="direct", with_collisions=False,
-        numerics=NumericsOptions(**numopts))
+        backend="direct", with_collisions=False)
     return Simulation(cells, config=cfg)
 
 
+def _per_cell_lu(self, systems):
+    """Test oracle for ``CellBatch.factorize_lu``: one LAPACK
+    factorization per cell instead of the stacked getrf pass."""
+    return [None if A is None else LUFactorization(A) for A in systems]
+
+
 class TestBatchedLU:
-    def test_trajectories_bit_identical(self):
+    def test_trajectories_bit_identical(self, monkeypatch):
         """The stacked getrf/getrs path drives the same LAPACK kernels on
-        the same matrices as the per-cell lu_factor/lu_solve path, so the
+        the same matrices as per-cell lu_factor/lu_solve, so the
         trajectories must agree bit for bit — not merely to tolerance."""
-        on = _scene(batched_lu=True)
-        off = _scene(batched_lu=False)
-        on.run(2)
-        off.run(2)
-        for a, b in zip(on.cells, off.cells):
+        stacked = _scene()
+        stacked.run(2)
+        monkeypatch.setattr(CellBatch, "factorize_lu", _per_cell_lu)
+        per_cell = _scene()
+        per_cell.run(2)
+        for a, b in zip(stacked.cells, per_cell.cells):
             assert np.array_equal(a.X, b.X)
-        for sa, sb in zip(on.stepper.sigmas, off.stepper.sigmas):
+        for sa, sb in zip(stacked.stepper.sigmas, per_cell.stepper.sigmas):
             assert np.array_equal(sa, sb)
 
-    def test_mixed_order_scene_bit_identical(self):
-        def scene(batched):
+    def test_mixed_order_scene_bit_identical(self, monkeypatch):
+        def scene():
             cells = [biconcave_rbc(1.0, center=(2.4 * k, 0.0, 0.0),
                                    order=5 + (k % 2)) for k in range(3)]
             cfg = ReproConfig(dt=0.05,
                               forces=[Bending(0.01), Tension()],
-                              with_collisions=False,
-                              numerics=NumericsOptions(batched_lu=batched))
+                              with_collisions=False)
             return Simulation(cells, config=cfg)
 
-        on, off = scene(True), scene(False)   # two equal-shape groups
-        on.run(2)
-        off.run(2)
-        for a, b in zip(on.cells, off.cells):
+        stacked = scene()                     # two equal-shape groups
+        stacked.run(2)
+        monkeypatch.setattr(CellBatch, "factorize_lu", _per_cell_lu)
+        per_cell = scene()
+        per_cell.run(2)
+        for a, b in zip(stacked.cells, per_cell.cells):
             assert np.array_equal(a.X, b.X)
-
-
-class TestFusedTableBudgetWarning:
-    def test_warns_once_naming_order_and_budget(self, caplog):
-        surf = biconcave_rbc(1.0, order=5)
-        saved = _RotationTables.FUSED_TABLE_BUDGET
-        try:
-            _RotationTables.FUSED_TABLE_BUDGET = 0
-            with caplog.at_level(logging.WARNING,
-                                 logger="repro.vesicle.self_interaction"):
-                # odd upsample -> a fresh (un-warned, un-cached) table pair
-                op = SingularSelfInteraction(surf, upsample=1.31,
-                                             assembly="fused")
-                op.refresh(full=True)       # second rejection: no re-warn
-        finally:
-            _RotationTables.FUSED_TABLE_BUDGET = saved
-        warnings = [r for r in caplog.records
-                    if "FUSED_TABLE_BUDGET" in r.message]
-        assert len(warnings) == 1
-        assert "order 5" in warnings[0].message
-        assert "circulant" in warnings[0].message
-
-    def test_within_budget_is_silent(self, caplog):
-        surf = biconcave_rbc(1.0, order=4)
-        with caplog.at_level(logging.WARNING,
-                             logger="repro.vesicle.self_interaction"):
-            SingularSelfInteraction(surf, assembly="fused")
-        assert not [r for r in caplog.records
-                    if "FUSED_TABLE_BUDGET" in r.message]
 
 
 @pytest.mark.slow
 class TestHighOrderRegression:
-    def test_order12_two_step_trajectory_matches_reference(self):
-        """An order-12 cell — beyond the fused table's memory gate — runs
-        a short trajectory under the circulant assembly and matches the
-        (table-less, much slower) fused reference assembly to 1e-8."""
-        def scene(mode):
-            cell = biconcave_rbc(1.0, order=12)
-            cfg = ReproConfig(
-                dt=0.02, forces=[Bending(0.01), Tension()],
-                with_collisions=False,
-                numerics=NumericsOptions(selfop_assembly=mode))
-            return Simulation([cell], config=cfg)
-
-        circ = scene("circulant")
-        assert circ.stepper._self_ops[0].assembly_mode == "circulant"
-        circ.run(2)
-        ref = scene("fused")
-        # order 12 is over the fused-table budget: the gate that used to
-        # make such scenes impractical is exactly what circulant lifts
-        assert ref.stepper._self_ops[0].tables.fused_table() is None
-        ref.run(2)
-        dev = np.abs(circ.cells[0].X - ref.cells[0].X).max()
-        assert dev <= 1e-8
+    def test_order12_operator_matches_reference(self):
+        """Order 12 — beyond what any per-target table could hold in
+        memory — assembles under the circulant route and matches the
+        reference evaluation like the lower orders do."""
+        assert_matches_reference(biconcave_rbc(1.0, order=12), seed=12)

@@ -24,7 +24,7 @@ Two sanctioned patterns are recognized and allowed:
 
 - writes inside a ``with <expr>:`` block whose context expression ends
   in an identifier containing ``lock`` (the lazy shared-table builds of
-  ``self_interaction.py`` take ``_fused_lock``/``_circ_lock``), and
+  ``self_interaction.py`` take ``_circ_lock``), and
 - writes through thread-local storage, i.e. an access chain with a
   component containing ``local`` (the ``ComponentTimers`` pattern).
 
