@@ -275,36 +275,30 @@ class BoundarySolver:
         fine-grid quadrature directly.
         """
         phi = np.asarray(phi, float).reshape(self.N, self.ncomp)
-        targets = np.atleast_2d(np.asarray(targets, float))
+        targets = np.asarray(targets, float).reshape(-1, 3)
         fine_phi = self._upsample(phi)
         weighted = fine_phi * self.fine.weights[:, None]
         out = self._dlp_to_points(weighted, targets)
 
-        # Distance screen against coarse nodes (cheap, conservative).
-        p = self.options.check_order
-        for t in range(targets.shape[0]):
-            x = targets[t]
-            d2 = np.einsum("nk,nk->n", self.coarse.points - x,
-                           self.coarse.points - x)
-            imin = int(np.argmin(d2))
-            L = self.surface.patch_sizes()[self.coarse.patch_of[imin]]
-            if np.sqrt(d2[imin]) > near_tol_factor * self.options.check_r_factor * L * (1 + p):
-                continue
-            out[t] = self._near_eval(weighted, x)
-        if self.rank_completion:
-            # The completed operator is only modified *on* Gamma; off-surface
-            # evaluation uses the plain double layer.
-            pass
+        # Distance screen against coarse nodes (cheap, conservative). The
+        # completed operator is only modified *on* Gamma, so off-surface
+        # evaluation uses the plain double layer throughout.
+        opts = self.options
+        p = opts.check_order
+        nearest, d2 = self.surface.nearest_patches(targets)
+        reach = (near_tol_factor * opts.check_r_factor * (1 + p)
+                 * self.surface.patch_sizes()[nearest[:, 0]])
+        near = np.nonzero(np.sqrt(d2[:, 0]) <= reach)[0]
+        if near.size:
+            cp = surface_closest_point(self.surface, targets[near])
+            R = opts.check_r_factor * cp.patch_size
+            # Signed distance along the inward direction (fluid side).
+            t_par = np.einsum("nk,nk->n", cp.point - targets[near], cp.normal)
+            offsets = R[:, None] * (1.0 + np.arange(p + 1))
+            checks = (cp.point[:, None, :]
+                      - offsets[:, :, None] * cp.normal[:, None, :])
+            vals = self._dlp_to_points(weighted, checks.reshape(-1, 3))
+            e = extrapolation_weights(1.0, 1.0, p, t_par / R)
+            out[near] = np.einsum("nq,nqc->nc", e, vals.reshape(
+                near.size, p + 1, self.ncomp))
         return out if self.ncomp > 1 else out.ravel()
-
-    def _near_eval(self, weighted_fine: np.ndarray, x: np.ndarray) -> np.ndarray:
-        cp = surface_closest_point(self.surface, x)
-        R = self.options.check_r_factor * cp.patch_size
-        p = self.options.check_order
-        # Signed distance along the inward direction (fluid side).
-        t_par = float((cp.point - x) @ cp.normal)
-        checks = (cp.point[None, :]
-                  - (R * (1.0 + np.arange(p + 1)))[:, None] * cp.normal[None, :])
-        vals = self._dlp_to_points(weighted_fine, checks)
-        e = extrapolation_weights(R, R, p, t_par)
-        return e @ vals

@@ -170,7 +170,7 @@ class Simulation:
         defined on.
         """
         dt_nominal = self.config.dt
-        sentinel = HealthSentinel(pol, warnings=self.stepper.warnings)
+        sentinel = HealthSentinel(pol)
         t0 = self.t
         remaining = Fraction(1)     # of the nominal step, still to cover
         frac = Fraction(1)          # current sub-step size

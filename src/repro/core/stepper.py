@@ -379,13 +379,14 @@ class TimeStepper:
                 phi, rep = solver.solve(g.ravel())
                 bie_iters = rep.iterations
                 bie_converged = bool(getattr(rep, "converged", True))
-            # (c) u_Gamma at all cell points, one task per target cell.
+            # (c) u_Gamma at all cell points, one batched evaluation.
             with self.timers.scope("BIE-FMM"):
-                vals = self.executor.map(
-                    lambda i: solver.evaluate(phi, cells[i].points),
-                    range(ncell))
-                for i in range(ncell):
-                    b[i] += np.asarray(vals[i]).reshape(cells[i].X.shape)
+                if ncell:
+                    pts = [c.points for c in cells]
+                    vals = solver.evaluate(phi, np.concatenate(pts))
+                    ends = np.cumsum([len(x) for x in pts])
+                    for i, v in enumerate(np.split(vals, ends[:-1])):
+                        b[i] += v.reshape(cells[i].X.shape)
 
         imposed = self.executor.map(
             lambda i: self._imposed_velocity(cells[i].points), range(ncell))

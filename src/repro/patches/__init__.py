@@ -7,7 +7,7 @@ the patch representation (:class:`ChebPatch`), assembled surfaces
 (:class:`PatchSurface`), closed-geometry builders (cube-sphere, torus,
 deformed tubes), exact polynomial subdivision (the fine discretization and
 weak-scaling refinement), the p4est-substitute forest of quadtrees, and the
-parallel Newton closest-point search of Sec. 3.3.
+batched Newton closest-point search of Sec. 3.3.
 """
 from .patch import ChebPatch, cheb_diff_matrix
 from .surface import PatchSurface

@@ -51,6 +51,14 @@ def _sub_interp_matrix(n: int, k: int):
     return mats
 
 
+def equispaced_uv(m: int) -> np.ndarray:
+    """The m x m equispaced parameter grid on [-1, 1]^2, shape (m*m, 2),
+    u-index first."""
+    t = np.linspace(-1.0, 1.0, m)
+    U, V = np.meshgrid(t, t, indexing="ij")
+    return np.column_stack([U.ravel(), V.ravel()])
+
+
 class ChebPatch:
     """One polynomial patch P : [-1, 1]^2 -> R^3.
 
@@ -62,12 +70,15 @@ class ChebPatch:
     """
 
     def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
+        # A private, read-only copy: the cached derivative table below and
+        # the owning surface's cached discretizations are derived from it.
+        values = np.array(values, dtype=float, order="C")
         if values.ndim != 3 or values.shape[0] != values.shape[1] or values.shape[2] != 3:
             raise ValueError("patch values must have shape (n, n, 3)")
         self.n = values.shape[0]
-        self.values = values
+        self.values = freeze(values)
         self._D = cheb_diff_matrix(self.n)
+        self._table: Optional[np.ndarray] = None
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -93,22 +104,26 @@ class ChebPatch:
             V = np.einsum("ij,kjl->kil", self._D, V)
         return V
 
+    def derivative_table(self) -> np.ndarray:
+        """Nodal values of ``X, Xu, Xv, Xuu, Xuv, Xvv`` as one frozen
+        ``(n*n, 18)`` block (three columns each, in that order), built on
+        first use: one interpolation row times this block evaluates the
+        patch and all its derivatives up to second order."""
+        if self._table is None:
+            orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+            self._table = freeze(np.concatenate(
+                [self._nodal_derivative(du, dv).reshape(-1, 3)
+                 for du, dv in orders], axis=1))
+        return self._table
+
     def derivatives(self, uv: np.ndarray, second: bool = False):
         """First (and optionally second) parametric derivatives at points.
 
         Returns ``(X, Xu, Xv)`` or ``(X, Xu, Xv, Xuu, Xuv, Xvv)``.
         """
-        M = interp_matrix_2d(self.n, uv)
-        flat = lambda V: M @ V.reshape(-1, 3)
-        X = flat(self.values)
-        Xu = flat(self._nodal_derivative(1, 0))
-        Xv = flat(self._nodal_derivative(0, 1))
-        if not second:
-            return X, Xu, Xv
-        Xuu = flat(self._nodal_derivative(2, 0))
-        Xuv = flat(self._nodal_derivative(1, 1))
-        Xvv = flat(self._nodal_derivative(0, 2))
-        return X, Xu, Xv, Xuu, Xuv, Xvv
+        ncol = 18 if second else 9
+        vals = interp_matrix_2d(self.n, uv) @ self.derivative_table()[:, :ncol]
+        return tuple(vals[:, c:c + 3] for c in range(0, ncol, 3))
 
     def normals(self, uv: np.ndarray) -> np.ndarray:
         """Unit normals (orientation: Xu x Xv)."""
@@ -170,7 +185,4 @@ class ChebPatch:
     def collision_points(self, m: int) -> np.ndarray:
         """m x m equispaced parameter samples for the collision mesh
         (paper: 484 = 22 x 22 points per patch)."""
-        t = np.linspace(-1.0, 1.0, m)
-        U, V = np.meshgrid(t, t, indexing="ij")
-        uv = np.column_stack([U.ravel(), V.ravel()])
-        return self.evaluate(uv)
+        return self.evaluate(equispaced_uv(m))

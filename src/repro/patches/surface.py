@@ -4,7 +4,8 @@
 (quadrature nodes/weights/normals over all patches, paper Eq. (3.1)), the
 fine discretization used by the singular quadrature (each patch split into
 4**eta subpatches with a q-point rule), the per-patch sizes L, and the
-near-zone bounding boxes of Sec. 3.3.
+near-zone bounding boxes of Sec. 3.3, and the stacked per-patch tables the
+batched closest-point search reads.
 """
 from __future__ import annotations
 
@@ -13,8 +14,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ..analysis.guard import freeze
 from ..config import NumericsOptions
-from .patch import ChebPatch
+from .patch import ChebPatch, equispaced_uv
+
+#: target x coarse-node pairs per block of the nearest-patch distance scan
+#: (bounds the transient difference tensor, like ``near_singular._DIST_CHUNK``).
+_DIST_PAIR_BUDGET = 1 << 18
 
 
 @dataclasses.dataclass
@@ -37,6 +43,7 @@ class PatchSurface:
         self._coarse: Optional[_Discretization] = None
         self._fine: Optional[_Discretization] = None
         self._sizes: Optional[np.ndarray] = None
+        self._newton_tables: Optional[tuple[np.ndarray, ...]] = None
 
     @property
     def n_patches(self) -> int:
@@ -91,6 +98,52 @@ class PatchSurface:
         if self._sizes is None:
             self._sizes = np.array([p.size() for p in self.patches])
         return self._sizes
+
+    def nearest_patches(self, targets: np.ndarray, k: int = 1
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``k`` patches nearest each target, ranked by their closest
+        coarse node.
+
+        Returns ``(patch_index, dist2)``, both ``(m, min(k, n_patches))``
+        with the nearest patch first; ``dist2`` is the squared distance to
+        that patch's closest coarse node. The target x node distance matrix
+        is built in blocks of ``_DIST_PAIR_BUDGET`` pairs.
+        """
+        targets = np.asarray(targets, float).reshape(-1, 3)
+        nodes = self.coarse().points
+        m, k = targets.shape[0], min(k, self.n_patches)
+        index = np.empty((m, k), dtype=int)
+        dist2 = np.empty((m, k))
+        chunk = max(1, _DIST_PAIR_BUDGET // nodes.shape[0])
+        for a in range(0, m, chunk):
+            diff = targets[a:a + chunk, None, :] - nodes[None, :, :]
+            # Coarse nodes are stored patch by patch, q*q each.
+            d2 = np.einsum("tnk,tnk->tn", diff, diff).reshape(
+                -1, self.n_patches, self.nodes_per_patch()).min(axis=2)
+            order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            index[a:a + chunk] = order
+            dist2[a:a + chunk] = np.take_along_axis(d2, order, axis=1)
+        return index, dist2
+
+    def newton_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Frozen per-surface tables of the closest-point Newton search.
+
+        ``(tables, seed_uv, seed_points)``: every patch's
+        :meth:`ChebPatch.derivative_table` stacked to ``(P, n*n, 18)``, the
+        ``n x n`` equispaced parameter samples ``(n*n, 2)`` the search is
+        seeded from, and their positions on every patch ``(P, n*n, 3)``.
+        """
+        if self._newton_tables is None:
+            n = self.patches[0].n
+            if any(p.n != n for p in self.patches):
+                raise ValueError("closest-point search needs patches of one "
+                                 "order; got n in "
+                                 f"{sorted({p.n for p in self.patches})}")
+            self._newton_tables = freeze(
+                np.stack([p.derivative_table() for p in self.patches]),
+                equispaced_uv(n),
+                np.stack([p.collision_points(n) for p in self.patches]))
+        return self._newton_tables
 
     def area(self) -> float:
         return float(self.coarse().weights.sum())

@@ -17,7 +17,10 @@ Which findings *reject* a step is policy, not physics, and lives in
 record-only: BIE non-convergence (the paper caps the boundary GMRES at
 30 iterations by design, so hitting the cap is the expected steady-state
 behavior, not a fault) and singular LU slices (already degraded
-gracefully to the GMRES fallback by :mod:`repro.linalg.dense`).
+gracefully to the GMRES fallback by :mod:`repro.linalg.dense`). The
+sentinel says nothing about either; :meth:`TimeStepper.step
+<repro.core.stepper.TimeStepper.step>`, which sees them with or without a
+sentinel, is the one place that logs each once per run.
 
 This module imports nothing from :mod:`repro.core` so the stepper can
 import :class:`WarnOnceRegistry` without a cycle.
@@ -111,16 +114,10 @@ class StepHealth:
 
 class HealthSentinel:
     """Evaluates a stepped simulation state against a
-    :class:`repro.config.ResilienceOptions` policy.
+    :class:`repro.config.ResilienceOptions` policy."""
 
-    ``warnings`` scopes the record-only findings' once-per-run log lines
-    to one simulation (pass the stepper's :class:`WarnOnceRegistry`);
-    when omitted, the sentinel gets a registry of its own."""
-
-    def __init__(self, policy, warnings: "WarnOnceRegistry | None" = None):
+    def __init__(self, policy):
         self.policy = policy
-        self.warnings = (warnings if warnings is not None
-                         else WarnOnceRegistry())
 
     def evaluate(self, stepper, report, snapshot) -> StepHealth:
         """Validate the post-step state of ``stepper`` against the
@@ -177,22 +174,6 @@ class HealthSentinel:
                 f"{report.ncp.max_penetration_after:.3g} after "
                 f"{report.ncp.lcp_solves} LCP solves, lcp_converged="
                 f"{report.ncp.lcp_converged})")
-
-        # Record-only findings (see the module docstring for why these
-        # never reject): surfaced through warn_once so long runs log
-        # them exactly once.
-        if not report.bie_converged:
-            self.warnings.warn_once(
-                "bie-nonconverged",
-                "boundary-integral GMRES hit its iteration cap "
-                "without reaching tolerance (the paper's capped-"
-                "iteration regime); recording, not rejecting")
-        if report.lu_singular:
-            self.warnings.warn_once(
-                "lu-singular",
-                f"singular LU factorization on cells "
-                f"{report.lu_singular}; solves routed through the "
-                "GMRES fallback")
 
         return StepHealth(healthy=not failures, failures=failures,
                           nonfinite_cells=nonfinite,

@@ -120,3 +120,47 @@ class TestStokesSolver:
         phi, rep = stokes_solver.solve(g.ravel())
         assert rep.converged
         assert np.abs(phi).max() < 1e-12
+
+
+class TestBatchedEvaluate:
+    """One ``evaluate`` call on a batch must equal single-target calls row
+    by row, whatever part of the batch takes the near-surface route."""
+
+    FAR = np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.15], [-0.3, 0.1, 0.0]])
+    NEAR = np.array([[0.0, 0.0, 0.97], [0.55, 0.55, 0.55], [-0.9, 0.2, 0.1],
+                     [0.1, -0.93, 0.2]])
+
+    @pytest.fixture(scope="class", params=["laplace", "stokes"])
+    def solver_phi(self, request, sphere_surface, opts):
+        s = BoundarySolver(sphere_surface, kernel=request.param, options=opts)
+        phi = np.random.default_rng(7).normal(size=(s.N, s.ncomp))
+        return s, phi
+
+    @pytest.mark.parametrize("which", ["none", "far", "near", "mixed"])
+    def test_batch_equals_single_target_rows(self, solver_phi, which,
+                                             monkeypatch):
+        from repro.bie import solver as solver_mod
+        s, phi = solver_phi
+        targets = {"none": np.zeros((0, 3)), "far": self.FAR,
+                   "near": self.NEAR,
+                   "mixed": np.vstack([self.FAR[:2], self.NEAR,
+                                       self.FAR[2:]])}[which]
+        routed = []
+
+        def spy(surface, x):
+            routed.append(len(x))
+            return closest(surface, x)
+
+        closest = solver_mod.surface_closest_point
+        monkeypatch.setattr(solver_mod, "surface_closest_point", spy)
+        # On this 6-patch sphere the default near zone is the whole ball;
+        # shrink it so the far targets really take the smooth route.
+        batch = s.evaluate(phi, targets, near_tol_factor=0.15)
+        assert routed == {"none": [], "far": [], "near": [len(self.NEAR)],
+                          "mixed": [len(self.NEAR)]}[which]
+        assert batch.shape == ((len(targets), 3) if s.ncomp == 3
+                               else (len(targets),))
+        monkeypatch.undo()
+        for row, x in zip(batch, targets):
+            one = s.evaluate(phi, x, near_tol_factor=0.15)
+            assert np.abs(row - one).max() < 1e-10

@@ -115,17 +115,35 @@ class TestFreeSpaceSimulation:
         assert rep.implicit_iterations[0] >= 0
 
 
+def _vessel_sim(executor="serial", workers=1):
+    opts = NumericsOptions(patch_quad=7, check_order=4, upsample_eta=1,
+                           check_r_factor=0.25, gmres_max_iter=20,
+                           executor=executor, workers=workers)
+    vessel = capsule_tube(length=8.0, radius=1.6, refine=0, options=opts)
+    g = capsule_inlet_outlet_bc(vessel, axis=2, flux=2.0)
+    cells = [sphere(0.5, center=(0.0, 0.0, -1.0), order=5),
+             sphere(0.5, center=(0.5, 0.3, 1.2), order=5)]
+    cfg = ReproConfig(dt=0.05, numerics=opts)
+    return Simulation(cells, vessel=vessel, boundary_bc=g, config=cfg)
+
+
 class TestVesselSimulation:
     @pytest.fixture(scope="class")
     def vessel_sim(self):
-        opts = NumericsOptions(patch_quad=7, check_order=4, upsample_eta=1,
-                               check_r_factor=0.25, gmres_max_iter=20)
-        vessel = capsule_tube(length=8.0, radius=1.6, refine=0, options=opts)
-        g = capsule_inlet_outlet_bc(vessel, axis=2, flux=2.0)
-        cells = [sphere(0.5, center=(0.0, 0.0, -1.0), order=5),
-                 sphere(0.5, center=(0.5, 0.3, 1.2), order=5)]
-        cfg = ReproConfig(dt=0.05, numerics=opts)
-        return Simulation(cells, vessel=vessel, boundary_bc=g, config=cfg)
+        return _vessel_sim()
+
+    def test_executors_bit_identical(self):
+        """The batched wall evaluation (one closest-point search and one
+        check-point DLP for all cell points) under every executor: serial
+        == thread == checked, deviation exactly 0.0."""
+        runs = {}
+        for executor, workers in (("serial", 1), ("thread", 2),
+                                  ("checked", 2)):
+            sim = _vessel_sim(executor, workers)
+            sim.run(2)
+            runs[executor] = np.concatenate([c.X.ravel() for c in sim.cells])
+        assert np.array_equal(runs["serial"], runs["thread"])
+        assert np.array_equal(runs["serial"], runs["checked"])
 
     def test_step_runs_and_reports(self, vessel_sim):
         rep = vessel_sim.step()

@@ -1,6 +1,7 @@
 """Polynomial patch, patch surface, closest point and forest tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import NumericsOptions
 from repro.patches import (
@@ -175,6 +176,130 @@ class TestClosestPoint:
         restricted = surface_closest_point(s, x,
                                            candidates=[full.patch_index])
         assert abs(full.distance - restricted.distance) < 1e-12
+
+
+def _oracle_closest_points(surface, x, n_candidates=4):
+    """The per-target composition the batched search replaced: the
+    ``n_candidates`` patches ranked by nearest coarse node, the scalar
+    ``closest_point_on_patch`` on each. Returns ``{patch: (point,
+    distance, normal)}`` in candidate order and the winning patch (first
+    strict minimum)."""
+    d = surface.coarse()
+    d2 = np.einsum("nk,nk->n", d.points - x, d.points - x)
+    found = {}
+    for idx in np.argsort(d2):
+        pid = int(d.patch_of[idx])
+        if pid not in found:
+            uv, p, dist = closest_point_on_patch(surface.patches[pid], x)
+            found[pid] = (p, dist,
+                          surface.patches[pid].normals(uv[None, :])[0])
+        if len(found) >= n_candidates:
+            break
+    return found, min(found, key=lambda pid: found[pid][1])
+
+
+_BATCH_OPTS = NumericsOptions(patch_quad=7, check_order=5, upsample_eta=1,
+                              check_r_factor=0.2)
+_BATCH_SURFACES = {
+    "cube_sphere": cube_sphere(refine=1, options=_BATCH_OPTS),
+    "torus": torus_surface(R=2.0, r=0.5, options=_BATCH_OPTS),
+    "capsule_tube": capsule_tube(length=10.0, radius=1.6, refine=0,
+                                 options=_BATCH_OPTS),
+}
+
+
+def _inside(surface, draws):
+    """Interior targets with a unique closest point: each draw ``(patch
+    fraction, u, v, depth)`` is a surface point pushed ``depth`` (below
+    every radius of curvature of the three surfaces) along the inward
+    normal."""
+    out = []
+    for frac, u, v, depth in draws:
+        patch = surface.patches[min(int(frac * surface.n_patches),
+                                    surface.n_patches - 1)]
+        uv = np.array([[u, v]])
+        out.append(patch.evaluate(uv)[0] - depth * patch.normals(uv)[0])
+    return np.array(out)
+
+
+_DRAW = st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0),
+                  st.floats(-1.0, 1.0), st.floats(0.02, 0.3))
+
+
+class TestBatchedClosestPoint:
+    @pytest.mark.parametrize("name", sorted(_BATCH_SURFACES))
+    @settings(max_examples=15, deadline=None)
+    @given(draws=st.lists(_DRAW, min_size=1, max_size=6))
+    def test_batch_matches_per_target_oracle(self, name, draws):
+        surface = _BATCH_SURFACES[name]
+        x = _inside(surface, draws)
+        res = surface_closest_point(surface, x)
+        assert res.patch_index.shape == (len(x),)
+        assert res.uv.shape == (len(x), 2)
+        for i, xi in enumerate(x):
+            found, winner = _oracle_closest_points(surface, xi)
+            pid = int(res.patch_index[i])
+            # Another owner only on an exact tie: a minimizer on an edge
+            # two patches share, or mirror-image minimizers either side
+            # of it. Which one wins that is rounding.
+            assert pid == winner or \
+                abs(found[pid][1] - found[winner][1]) < 1e-12
+            p, dist, nrm = found[pid]
+            assert np.abs(res.point[i] - p).max() < 1e-7
+            assert np.abs(res.normal[i] - nrm).max() < 1e-7
+            assert abs(res.distance[i] - dist) < 1e-7
+            assert res.patch_size[i] == surface.patch_sizes()[pid]
+
+    def test_point_query_returns_scalar_fields(self):
+        surface = _BATCH_SURFACES["cube_sphere"]
+        x = np.array([0.3, -0.2, 0.4])
+        one = surface_closest_point(surface, x)
+        row = surface_closest_point(surface, x[None, :])
+        assert isinstance(one.patch_index, int)
+        assert isinstance(one.distance, float)
+        assert isinstance(one.patch_size, float)
+        assert one.uv.shape == (2,) and one.point.shape == (3,)
+        assert one.normal.shape == (3,)
+        assert one.patch_index == row.patch_index[0]
+        assert np.array_equal(one.point, row.point[0])
+
+    def test_blocks_do_not_change_results(self, monkeypatch):
+        """Targets are processed in memory-bounded blocks; a block size of
+        one target must give the same answers as one block."""
+        from repro.patches import closest_point, surface as surface_mod
+        surface = _BATCH_SURFACES["capsule_tube"]
+        x = np.random.default_rng(3).uniform(-1.0, 1.0, (7, 3)) * [1, 1, 3]
+        whole = surface_closest_point(surface, x)
+        monkeypatch.setattr(closest_point, "_GATHER_BUDGET", 1)
+        monkeypatch.setattr(surface_mod, "_DIST_PAIR_BUDGET", 1)
+        split = surface_closest_point(surface, x)
+        assert np.array_equal(whole.patch_index, split.patch_index)
+        assert np.abs(whole.point - split.point).max() < 1e-12
+
+    def test_empty_candidates_raise_for_a_batch(self):
+        surface = _BATCH_SURFACES["cube_sphere"]
+        with pytest.raises(RuntimeError, match="candidate"):
+            surface_closest_point(surface, np.zeros((3, 3)), candidates=[])
+
+    def test_mixed_patch_orders_rejected(self):
+        surface = _BATCH_SURFACES["cube_sphere"]
+        odd = ChebPatch(surface.patches[0].subdivide(1)[0].values[:5, :5])
+        mixed = PatchSurface([surface.patches[0], odd], _BATCH_OPTS)
+        with pytest.raises(ValueError, match="one order"):
+            surface_closest_point(mixed, np.zeros(3))
+
+    def test_patch_tables_are_frozen(self):
+        surface = _BATCH_SURFACES["cube_sphere"]
+        patch = surface.patches[0]
+        arrays = (patch.values, patch.derivative_table(),
+                  *surface.newton_tables())
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            patch.values[0, 0, 0] = 1.0
+        # the caller's array stays its own
+        vals = np.zeros((4, 4, 3))
+        ChebPatch(vals)
+        assert vals.flags.writeable
 
 
 class TestForest:

@@ -127,6 +127,16 @@ class TestExtrapolation:
         vals = 2.0 * t - 1.0
         assert np.isclose(e @ vals, 2 * 0.25 - 1)
 
+    def test_array_targets_match_scalar_rows(self):
+        # includes a target sitting exactly on a check point
+        t = np.array([0.0, 0.03, 0.1, 0.17, 0.25, -0.02])
+        E = extrapolation_weights(0.1, 0.05, 4, t)
+        assert E.shape == (t.size, 5)
+        for row, ti in zip(E, t):
+            assert np.array_equal(row, extrapolation_weights(0.1, 0.05, 4,
+                                                             float(ti)))
+        assert extrapolation_weights(0.1, 0.05, 4, t[:0]).shape == (0, 5)
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             extrapolation_weights(0.1, 0.1, -1)

@@ -79,11 +79,30 @@ class TestWarnOnceRegistry:
                     if "degrading to" in r.getMessage()]
         assert len(degraded) == 2
 
-    def test_sentinel_uses_simulation_scoped_registry(self):
-        sim = _scene(ncell=1)
-        sentinel = HealthSentinel(sim.config.resilience,
-                                  warnings=sim.stepper.warnings)
-        assert sentinel.warnings is sim.stepper.warnings
+    def test_record_only_findings_log_exactly_one_record(self, caplog,
+                                                         monkeypatch):
+        """Regression: a capped BIE solve and a singular LU slice were
+        each logged twice per run, once by the stepper and once by the
+        sentinel under a second warn-once key."""
+        import logging
+        from repro.patches import capsule_tube
+        from repro.vessel import capsule_inlet_outlet_bc
+        opts = NumericsOptions(patch_quad=5, check_order=3, upsample_eta=1,
+                               check_r_factor=0.25, gmres_max_iter=2)
+        vessel = capsule_tube(length=8.0, radius=1.6, refine=0, options=opts)
+        sim = Simulation(
+            [sphere(0.5, order=3)], vessel=vessel,
+            boundary_bc=capsule_inlet_outlet_bc(vessel, axis=2, flux=2.0),
+            config=ReproConfig(dt=0.05, numerics=opts))
+        assert sim.config.resilience.enabled      # the sentinel runs too
+        monkeypatch.setattr(sim.stepper, "_singular_lu_cells", lambda: [0])
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            reports = [sim.step() for _ in range(2)]
+        assert not any(r.bie_converged for r in reports)
+        assert all(r.lu_singular == [0] for r in reports)
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum("iteration cap" in m for m in messages) == 1
+        assert sum("singular" in m for m in messages) == 1
 
 
 class TestSentinelBitIdentity:
