@@ -8,8 +8,7 @@ from typing import Optional
 import numpy as np
 
 from ..analysis.guard import freeze
-from ..sph import SHTransform
-from ..sph.grid import get_grid
+from ..sph import get_transform
 from ..surfaces import SpectralSurface
 from ..patches import ChebPatch
 
@@ -94,6 +93,13 @@ def _grid_triangulation(nlat: int, nphi: int) -> np.ndarray:
     return freeze(np.asarray(tris, dtype=np.int64))
 
 
+@lru_cache(maxsize=16)
+def _pole_rows(order: int) -> np.ndarray:
+    """Synthesis rows of the two pole-guard points (geometry-independent)."""
+    return freeze(get_transform(order).evaluation_rows(
+        np.array([1e-6, np.pi - 1e-6]), np.zeros(2)))
+
+
 def cell_collision_mesh(surface: SpectralSurface, object_id: int,
                         collision_order: Optional[int] = None) -> CollisionMesh:
     """Closed triangle mesh of a cell at the collision sampling order.
@@ -107,10 +113,10 @@ def cell_collision_mesh(surface: SpectralSurface, object_id: int,
     fine = surface.upsampled(pc) if pc != surface.order else surface
     grid = fine.grid
     c = surface.coeffs()
-    T = surface.transform
-    poles = np.stack([
-        T.evaluate(c[k], np.array([1e-6, np.pi - 1e-6]), np.array([0.0, 0.0]))
-        for k in range(3)], axis=-1)
+    # One contraction per coordinate (not a stacked GEMM): the pole
+    # vertices stay bit-identical to a per-coordinate series evaluation.
+    rows = _pole_rows(surface.order)
+    poles = np.stack([(rows @ c[k].ravel()).real for k in range(3)], axis=-1)
     vertices = np.vstack([fine.points, poles])
     tris = _grid_triangulation(grid.nlat, grid.nphi)
     w = fine.quadrature_weights().ravel()

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..config import NumericsOptions
 from ..sph import get_transform
-from ..surfaces import SpectralSurface
+from ..surfaces import SpectralSurface, seed_upsampled
 from ..vesicle import SingularSelfInteraction
 from .broadphase import candidate_object_pairs
 from .mesh import CollisionMesh, cell_collision_mesh
@@ -78,27 +78,42 @@ class NCPSolver:
         self._mesh_cache: list[dict[bytes, CollisionMesh]] = []
 
     # -- mesh caching ----------------------------------------------------------
-    def _cell_mesh(self, i: int, cell: SpectralSurface,
-                   positions: np.ndarray, pc: int) -> CollisionMesh:
-        """Collision mesh of cell ``i`` at ``positions``, cached.
+    def _cell_meshes(self, cells: Sequence[SpectralSurface],
+                     positions: Sequence[np.ndarray], pc: int,
+                     surfaces: Optional[Sequence[SpectralSurface]] = None
+                     ) -> list[CollisionMesh]:
+        """Collision meshes of all cells at ``positions``, cached.
 
         A tiny per-cell LRU keyed by the raw position bytes: across a
         projection this hits for every cell the LCP loop did not move,
         and across steps the accepted candidate mesh of step ``n`` is
-        reused as the "current" mesh of step ``n + 1``.
+        reused as the "current" mesh of step ``n + 1``. The misses share
+        one stacked fine-grid pass (:func:`repro.surfaces.seed_upsampled`),
+        less what the caller's ``surfaces`` at ``positions`` hold cached.
         """
-        while len(self._mesh_cache) <= i:
+        while len(self._mesh_cache) < len(cells):
             self._mesh_cache.append({})
-        cache = self._mesh_cache[i]
-        key = positions.tobytes()
-        mesh = cache.pop(key, None)
-        if mesh is None:
-            tmp = SpectralSurface(positions, cell.order)
-            mesh = cell_collision_mesh(tmp, object_id=i, collision_order=pc)
-            if len(cache) >= self.mesh_cache_size:
-                cache.pop(next(iter(cache)))
-        cache[key] = mesh  # (re)insert most-recently-used last
-        return mesh
+        keys = [pos.tobytes() for pos in positions]
+        miss = {i: SpectralSurface(positions[i], cells[i].order,
+                                   cells[i].aliasing_factor)
+                for i, key in enumerate(keys)
+                if key not in self._mesh_cache[i]}
+        if surfaces is not None:
+            for i, tmp in miss.items():
+                tmp.adopt_caches(surfaces[i])
+        seed_upsampled([s for s in miss.values() if s.order != pc], pc)
+        meshes = []
+        for i, key in enumerate(keys):
+            cache = self._mesh_cache[i]
+            mesh = cache.pop(key, None)
+            if mesh is None:
+                mesh = cell_collision_mesh(miss[i], object_id=i,
+                                           collision_order=pc)
+                if len(cache) >= self.mesh_cache_size:
+                    cache.pop(next(iter(cache)))
+            cache[key] = mesh  # (re)insert most-recently-used last
+            meshes.append(mesh)
+        return meshes
 
     # -- grid transfer helpers -------------------------------------------------
     @staticmethod
@@ -123,7 +138,9 @@ class NCPSolver:
                 candidates: Sequence[np.ndarray],
                 mobilities: Sequence[Callable[[np.ndarray], np.ndarray]],
                 dt: float,
-                comm=None) -> tuple[list[np.ndarray], NCPReport]:
+                comm=None,
+                surfaces: Optional[Sequence[SpectralSurface]] = None
+                ) -> tuple[list[np.ndarray], NCPReport]:
         """Resolve contacts of the candidate state.
 
         Parameters
@@ -137,6 +154,10 @@ class NCPSolver:
             velocity it induces (the implicit term ``S_i``).
         dt:
             Time step.
+        surfaces:
+            Optionally, per cell, a surface at the candidate positions
+            with seeded coefficient / ``upsampled`` caches for the meshes
+            to reuse (the result is bit-identical either way).
 
         Returns the corrected positions and a report.
         """
@@ -150,9 +171,8 @@ class NCPSolver:
         Tc = get_transform(pc)
         nlat_c, nphi_c = Tc.grid.nlat, Tc.grid.nphi
 
-        def build_meshes(positions):
-            meshes = [self._cell_mesh(i, cell, np.asarray(pos, float), pc)
-                      for i, (cell, pos) in enumerate(zip(cells, positions))]
+        def build_meshes(positions, seeded=None):
+            meshes = self._cell_meshes(cells, positions, pc, seeded)
             for bm in self.boundary_meshes:
                 meshes.append(dataclasses.replace(
                     bm, object_id=ncell + (bm.object_id)))
@@ -167,16 +187,13 @@ class NCPSolver:
         cand_pos = [np.asarray(c, float).reshape(cells[i].grid.nlat,
                                                  cells[i].grid.nphi, 3)
                     for i, c in enumerate(candidates)]
-        cand_meshes = build_meshes(cand_pos)
+        cand_meshes = build_meshes(cand_pos, surfaces)
         cand_verts = [m.vertices for m in cand_meshes[:ncell]] + \
                      [None] * len(self.boundary_meshes)
         pairs = candidate_object_pairs(current, cand_verts, eps, comm=comm)
 
         contacts = compute_contacts(cand_meshes, pairs, eps)
         vol_before = min((c.volume for c in contacts), default=0.0)
-        vol_tol = self.volume_tol_factor * eps * \
-            (np.mean([m.vertex_weights.sum() for m in cand_meshes[:ncell]])
-             if ncell else 1.0)
 
         report = NCPReport(n_candidates=len(pairs), n_components=len(contacts),
                            lcp_solves=0,
@@ -187,6 +204,8 @@ class NCPSolver:
         if not contacts:
             return cand_pos, report
 
+        vol_tol = self.volume_tol_factor * eps * np.mean(
+            [m.vertex_weights.sum() for m in cand_meshes[:ncell]])
         positions = [p.copy() for p in cand_pos]
         lam_all = []
         resolved = False

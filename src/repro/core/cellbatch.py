@@ -12,7 +12,14 @@ GEMVs. Homogeneous scenes (every cell the same order, the common case)
 are therefore one BLAS call per stage; heterogeneous scenes degrade
 gracefully to one call per order group.
 
-Batching changes no semantics: the stacked paths agree with the
+The position-dependent surface caches are seeded the same way once per
+step (:meth:`CellBatch.seed_coeffs` / :meth:`CellBatch.seed_geometry`;
+:func:`repro.surfaces.seed_upsampled` for the fine resampling the near
+evaluators and collision meshes share). Those passes stack only
+batch-invariant operations (FFTs, the Legendre contraction, pointwise
+formulas), so a seeded cache is *bit-identical* to the per-cell one.
+
+Batching changes no semantics: the stacked GEMM paths agree with the
 per-cell loops to floating-point roundoff (``<= 1e-12`` relative, tested)
 and everything here is deterministic, so it composes with any
 :mod:`repro.runtime.executor` choice.
@@ -24,8 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..linalg import StackedLUFactorization
-from ..sph import get_transform
-from ..surfaces import SpectralSurface
+from ..surfaces import SpectralSurface, seed_geometry, stacked_coeffs
 from ..vesicle.self_interaction import assemble_circulant
 
 
@@ -60,28 +66,21 @@ class CellBatch:
         return {order: np.stack([self.cells[i].X for i in idx])
                 for order, idx in self.groups}
 
-    # -- batched SHT -------------------------------------------------------
+    # -- stacked cache seeding ---------------------------------------------
     def seed_coeffs(self) -> None:
-        """Fill every cell's SH-coefficient cache with stacked transforms.
+        """Fill every cell's empty SH-coefficient cache from one stacked
+        forward SHT per order group
+        (:func:`repro.surfaces.stacked_coeffs`)."""
+        for _, idx in self.groups:
+            stacked_coeffs([self.cells[i] for i in idx])
 
-        Per order group, the coordinate fields of all cells whose cache
-        is empty are stacked and pushed through *one* forward SHT (the
-        transform's leading axes are batch dimensions), then scattered
-        into each cell via :meth:`SpectralSurface.seed_coeffs` — one
-        Legendre GEMM per group instead of one per cell. Every
-        downstream consumer (geometry, self-op assembly, the near
-        evaluators) then finds the coefficients already cached.
-        """
-        for order, idx in self.groups:
-            todo = [i for i in idx if self.cells[i]._coeffs is None]
-            if not todo:
-                continue
-            T = get_transform(order)
-            fields = np.stack([np.moveaxis(self.cells[i].X, -1, 0)
-                               for i in todo])        # (k, 3, nlat, nphi)
-            coeffs = T.forward(fields)
-            for slot, i in enumerate(todo):
-                self.cells[i].seed_coeffs(coeffs[slot])
+    def seed_geometry(self) -> None:
+        """Fill every cell's empty native-grid and anti-aliasing geometry
+        cache (and the coefficients they need) from one stacked
+        evaluation per order (:func:`repro.surfaces.seed_geometry`), so
+        force terms, self-op assembly and near evaluators find it cached."""
+        seed_geometry(self.cells)
+        seed_geometry(self.cells, aliased=True)
 
     # -- stacked self-interaction reassembly -------------------------------
     def assemble_selfops(self, ops: Sequence, due: Sequence[int]) -> None:

@@ -45,7 +45,7 @@ from ..physics.terms import Bending, CellState, ForceTerm, Tension
 from ..analysis.contracts import set_debug_checks
 from ..resilience.health import WarnOnceRegistry
 from ..runtime.executor import make_executor, resolve_workers
-from ..surfaces import SpectralSurface
+from ..surfaces import SpectralSurface, seed_upsampled
 from ..vesicle import SingularSelfInteraction
 from ..collision import NCPSolver, NCPReport
 from .cellbatch import CellBatch
@@ -152,6 +152,7 @@ class TimeStepper:
         self.executor.attach(self.timers)
         #: order-grouped SoA view used for the stacked-GEMM paths.
         self.batch = CellBatch(self.cells)
+        self.seed_caches()
 
         self.forces: List[ForceTerm] = (list(forces) if forces is not None
                                         else [Bending()])
@@ -208,6 +209,14 @@ class TimeStepper:
         self._impl_lu: list[Optional[tuple]] = [None] * len(self.cells)
 
     # -- cached-state maintenance -----------------------------------------
+    def seed_caches(self) -> None:
+        """Fill the cells' empty position-dependent caches (coefficients,
+        the fine resampling the near evaluators read, native and
+        anti-aliasing geometry): one stacked pass per order over however
+        many cells moved, bit-identical to the per-cell lazy fills."""
+        seed_upsampled(self.cells)
+        self.batch.seed_geometry()
+
     def refresh_cell(self, i: int) -> None:
         """Rebuild the cached operators of cell ``i`` after it moved.
 
@@ -218,6 +227,7 @@ class TimeStepper:
         after any out-of-band position change (the recycler, external
         steering, ...).
         """
+        self.seed_caches()
         self._self_ops[i].refresh(full=True)
         self._invalidate_cell(i)
 
@@ -581,23 +591,30 @@ class TimeStepper:
                     "singular factorized operator on cells %s; "
                     "solves routed through the GMRES fallback"
                     % lu_singular)
+            # One stacked fine-grid pass over the candidates, shared by
+            # the collision meshes and by every cell (coefficients, near
+            # evaluator) the contact projection leaves where it is.
+            cand = [SpectralSurface(X, c.order, c.aliasing_factor)
+                    for X, c in zip(candidates, self.cells)]
+            seed_upsampled(cand)
 
         ncp_report = None
         if self.ncp is not None:
             with self.timers.scope("COL"):
                 mobilities = [op.apply for op in self._self_ops]
                 newpos, ncp_report = self.ncp.project(
-                    self.cells, candidates, mobilities, dt)
+                    self.cells, candidates, mobilities, dt, surfaces=cand)
         else:
             newpos = candidates
 
         with self.timers.scope("Other"):
-            for i, cell in enumerate(self.cells):
-                cell.set_positions(newpos[i])
-            # One stacked forward SHT per order group seeds every cell's
-            # coefficient cache before the per-cell refresh tasks (self-op
+            for cell, X, s in zip(self.cells, newpos, cand):
+                cell.set_positions(X)
+                cell.adopt_caches(s)    # refused by the cells NCP moved
+            # The rest (moved cells, everyone's geometry) is seeded
+            # stacked before the per-cell refresh tasks (self-op
             # reassembly, evaluator rebuilds) fan out over the executor.
-            self.batch.seed_coeffs()
+            self.seed_caches()
             # Cells due a full block-circulant reassembly this step are
             # assembled as one stacked pass per same-order group; their
             # refresh tasks below consume the installed operators.

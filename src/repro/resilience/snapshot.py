@@ -76,16 +76,18 @@ def restore_state(stepper, snapshot: StepSnapshot) -> None:
     """Roll ``stepper`` back to ``snapshot``.
 
     Positions and coefficients are restored from fresh copies (the
-    snapshot stays valid for further retries); the coefficient reseed
-    matters for bit-identity — ``set_positions`` clears the coefficient
-    cache, and recomputing per cell would differ in the last bit from
-    the stacked forward SHT that seeded the originals. The interaction
+    snapshot stays valid for further retries). ``set_positions`` clears
+    every position-dependent cache; the coefficients come back from the
+    snapshot (a recomputation would be bit-identical — the forward SHT
+    is batch-invariant — the copy merely saves the transform), the rest
+    is re-seeded by the stepper's stacked pass, and the interaction
     backend's per-cell evaluators are refreshed so no stepped geometry
     survives in a cache.
     """
     for i, c in enumerate(stepper.cells):
         c.set_positions(snapshot.positions[i])
         c.seed_coeffs(snapshot.coeffs[i].copy())
+    stepper.seed_caches()
     stepper.sigmas = [s.copy() for s in snapshot.sigmas]
     stepper._f_ext = list(snapshot.f_ext)
     stepper._tension_solvers = list(snapshot.tension_solvers)

@@ -208,17 +208,22 @@ class SHTransform:
         """Synthesize the field on the native grid from coefficients."""
         return self._grid_synthesis(c, "none", real)
 
-    def _synth_with_tables(self, c, tab, phi, derivative):
-        t = self._tab
+    def evaluation_rows(self, theta: np.ndarray, phi: np.ndarray,
+                        derivative: str = "none") -> np.ndarray:
+        """Rows ``R`` with ``evaluate(c, theta, phi) == (R @ c.ravel()).real``
+        (for a phi derivative, times the coefficients' ``im`` factors):
+        geometry-independent, so fixed evaluation points can cache them."""
+        p, t = self.order, self._tab
+        x = np.cos(np.asarray(theta, dtype=float).ravel())
         phi = np.asarray(phi, dtype=float).ravel()
+        if derivative in ("theta", "thetaphi"):
+            tab = normalized_alp_theta_derivative(p, x)[1]
+        elif derivative == "theta2":
+            tab = normalized_alp_theta_derivative2(p, x)[2]
+        else:
+            tab = normalized_alp(p, x)
         B = t.sign[:, None] * tab[t.ls, np.abs(t.ms), :]  # (ncoef, npts)
-        cf = np.asarray(c).ravel().copy()
-        if derivative in ("phi", "thetaphi"):
-            cf = cf * (1j * t.ms)
-        elif derivative == "phi2":
-            cf = cf * (-(t.ms.astype(float) ** 2))
-        phase = np.exp(1j * np.outer(t.ms, phi))
-        return ((B * phase).T @ cf)
+        return (B * np.exp(1j * np.outer(t.ms, phi))).T
 
     def evaluate(self, c: np.ndarray, theta: np.ndarray, phi: np.ndarray,
                  derivative: str = "none", real: bool = True) -> np.ndarray:
@@ -228,16 +233,13 @@ class SHTransform:
         ``"theta2"``, ``"thetaphi"``, ``"phi2"``. Points may not lie on the
         poles when a theta derivative is requested.
         """
-        p = self.order
-        theta = np.asarray(theta, dtype=float).ravel()
-        x = np.cos(theta)
-        if derivative in ("theta", "thetaphi"):
-            tab = normalized_alp_theta_derivative(p, x)[1]
-        elif derivative == "theta2":
-            tab = normalized_alp_theta_derivative2(p, x)[2]
-        else:
-            tab = normalized_alp(p, x)
-        out = self._synth_with_tables(c, tab, phi, derivative)
+        ms = self._tab.ms
+        cf = np.asarray(c).ravel().copy()
+        if derivative in ("phi", "thetaphi"):
+            cf = cf * (1j * ms)
+        elif derivative == "phi2":
+            cf = cf * (-(ms.astype(float) ** 2))
+        out = self.evaluation_rows(theta, phi, derivative) @ cf
         return out.real if real else out
 
     # -- spectral derivatives on the native grid --------------------------

@@ -7,7 +7,8 @@ differential operators) computed spectrally with 2x anti-aliasing.
 paper's experiments (spheres of varied radii from the filling algorithm,
 the biconcave RBC rest shape, ellipsoids for convergence studies).
 """
-from .spectral_surface import SpectralSurface, SurfaceGeometry
+from .spectral_surface import (SpectralSurface, SurfaceGeometry,
+                               seed_geometry, seed_upsampled, stacked_coeffs)
 from .shapes import biconcave_rbc, ellipsoid, unit_sphere, sphere
 
 __all__ = [
@@ -17,4 +18,7 @@ __all__ = [
     "ellipsoid",
     "unit_sphere",
     "sphere",
+    "seed_geometry",
+    "seed_upsampled",
+    "stacked_coeffs",
 ]

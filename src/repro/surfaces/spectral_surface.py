@@ -11,7 +11,7 @@ vesicle codes such as [48].
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -122,6 +122,11 @@ class SurfaceGeometry:
     H: np.ndarray
     K: np.ndarray
 
+    def cell(self, k: int) -> "SurfaceGeometry":
+        """Cell ``k`` of a geometry evaluated on a stack of surfaces."""
+        return SurfaceGeometry(*(getattr(self, f.name)[k]
+                                 for f in dataclasses.fields(self)))
+
 
 class SpectralSurface:
     """A closed surface with spherical-harmonic order ``p``.
@@ -155,6 +160,8 @@ class SpectralSurface:
         self.aliasing_factor = int(aliasing_factor)
         self._coeffs: Optional[np.ndarray] = None
         self._geom: Optional[SurfaceGeometry] = None
+        self._up_tables: Optional[tuple] = None
+        self._fine: Optional[SpectralSurface] = None
         self._dense_ops: Optional[dict] = None
 
     # -- basics ------------------------------------------------------------
@@ -170,19 +177,13 @@ class SpectralSurface:
     def coeffs(self) -> np.ndarray:
         """SH coefficients of the three coordinates, shape (3, p+1, 2p+1)."""
         if self._coeffs is None:
-            self._coeffs = self.transform.forward(
-                np.moveaxis(self.X, -1, 0))
+            stacked_coeffs([self])
         return self._coeffs
 
     def seed_coeffs(self, coeffs: np.ndarray) -> None:
-        """Install externally computed SH coefficients of the positions.
-
-        Used by :class:`repro.core.cellbatch.CellBatch`, which transforms
-        all same-order cells' coordinates in one stacked forward SHT and
-        scatters the results here, so :meth:`coeffs` never recomputes
-        them per cell. The coefficients must describe the *current*
-        positions; only the shape is validated.
-        """
+        """Install externally computed SH coefficients of the *current*
+        positions (a slice of :func:`stacked_coeffs`' transform, a
+        snapshot, a checkpoint); only the shape is validated."""
         coeffs = np.ascontiguousarray(coeffs)
         expected = (3, self.order + 1, 2 * self.order + 1)
         if coeffs.shape != expected:
@@ -199,7 +200,18 @@ class SpectralSurface:
         self._coeffs = None
         self._geom = None
         self._up_tables = None
+        self._fine = None
         self._dense_ops = None
+
+    def adopt_caches(self, other: "SpectralSurface") -> bool:
+        """Share ``other``'s coefficient and :meth:`upsampled` caches if it
+        sits at exactly these positions; returns whether it does."""
+        same = ((other.order, other.aliasing_factor)
+                == (self.order, self.aliasing_factor)
+                and np.array_equal(self.X, other.X))
+        if same:
+            self._coeffs, self._fine = other._coeffs, other._fine
+        return same
 
     def translated(self, shift: np.ndarray) -> "SpectralSurface":
         return SpectralSurface(self.X + np.asarray(shift, float), self.order,
@@ -217,10 +229,11 @@ class SpectralSurface:
                                self.aliasing_factor)
 
     def upsampled(self, new_order: int) -> "SpectralSurface":
-        """Exact band-limited resampling to a finer grid."""
-        Xup = np.moveaxis(self.transform.resample(self.coeffs(), new_order),
-                          0, -1)
-        return SpectralSurface(Xup, new_order, self.aliasing_factor)
+        """Exact band-limited resampling to a finer grid: a stack of one
+        through :func:`seed_upsampled`, cached until :meth:`set_positions`
+        and shared by its readers (near evaluator, collision mesh)."""
+        seed_upsampled([self], new_order)
+        return self._fine
 
     # -- geometry ------------------------------------------------------------
     @staticmethod
@@ -230,26 +243,28 @@ class SpectralSurface:
         All parametric derivatives come straight from the coefficient
         series (exact for band-limited X); the subsequent products are
         formed pointwise, so no spherical re-expansion of the pole-singular
-        coordinate-derivative fields is ever needed.
+        coordinate-derivative fields is ever needed. Leading axes of
+        ``coeffs`` ``(..., 3, p+1, 2p+1)`` stack surfaces; every operation
+        is batch-invariant, so a slice equals the single-surface call.
         """
         grid = T.grid
         coeffs = np.asarray(coeffs)
 
         def d(which):
-            return np.moveaxis(T.derivative_grid(coeffs, which), 0, -1)
+            return np.moveaxis(T.derivative_grid(coeffs, which), -3, -1)
 
         Xt, Xp = d("theta"), d("phi")
         Xtt, Xtp, Xpp = d("theta2"), d("thetaphi"), d("phi2")
 
-        E = np.einsum("ijk,ijk->ij", Xt, Xt)
-        F = np.einsum("ijk,ijk->ij", Xt, Xp)
-        G = np.einsum("ijk,ijk->ij", Xp, Xp)
+        E = np.einsum("...k,...k->...", Xt, Xt)
+        F = np.einsum("...k,...k->...", Xt, Xp)
+        G = np.einsum("...k,...k->...", Xp, Xp)
         cross = np.cross(Xt, Xp)
         W = np.linalg.norm(cross, axis=-1)
         normal = cross / W[..., None]
-        L = np.einsum("ijk,ijk->ij", Xtt, normal)
-        M = np.einsum("ijk,ijk->ij", Xtp, normal)
-        N = np.einsum("ijk,ijk->ij", Xpp, normal)
+        L = np.einsum("...k,...k->...", Xtt, normal)
+        M = np.einsum("...k,...k->...", Xtp, normal)
+        N = np.einsum("...k,...k->...", Xpp, normal)
         W2 = W * W
         H = (E * N + G * L - 2.0 * F * M) / (2.0 * W2)
         K = (L * N - M * M) / W2
@@ -260,11 +275,8 @@ class SpectralSurface:
     def geometry(self) -> SurfaceGeometry:
         """Compute (and cache) the differential geometry on the native grid."""
         if self._geom is None:
-            self._geom = self._geometry_from_transform(self.transform, self.coeffs())
+            seed_geometry([self])
         return self._geom
-
-    def _pad_coeffs(self, c: np.ndarray, q: int) -> np.ndarray:
-        return self._pad_coeffs_any(c, self.order, q)
 
     # -- integral quantities ---------------------------------------------------
     def area(self) -> float:
@@ -333,11 +345,8 @@ class SpectralSurface:
     def _upsampled_tables(self):
         """Anti-aliasing workspace: transform and geometry at order
         ``aliasing_factor * p`` (cached)."""
-        if getattr(self, "_up_tables", None) is None:
-            Tq = get_transform(self._aliasing_order())
-            cq = self._pad_coeffs(self.coeffs(), Tq.order)
-            geom_q = self._geometry_from_transform(Tq, cq)
-            self._up_tables = (Tq, geom_q)
+        if self._up_tables is None:
+            seed_geometry([self], aliased=True)
         return self._up_tables
 
     @staticmethod
@@ -501,3 +510,60 @@ class SpectralSurface:
         """Dense (N, N) Laplace-Beltrami operator on scalar grid fields
         (cached per geometry)."""
         return self._dense_operator_tables()["lb"]
+
+
+def stacked_coeffs(surfaces: Sequence[SpectralSurface]) -> np.ndarray:
+    """SH coefficients of same-order surfaces, ``(k, 3, p+1, 2p+1)``;
+    the empty caches are filled from *one* forward SHT (leading axes are
+    batch dimensions). :meth:`SpectralSurface.coeffs` is the stack of one."""
+    todo = [s for s in surfaces if s._coeffs is None]
+    if todo:
+        coeffs = todo[0].transform.forward(
+            np.stack([np.moveaxis(s.X, -1, 0) for s in todo]))
+        for s, c in zip(todo, coeffs):
+            s.seed_coeffs(c)
+    return np.stack([s._coeffs for s in surfaces])
+
+
+def seed_upsampled(surfaces: Sequence[SpectralSurface],
+                   new_order: Optional[int] = None) -> None:
+    """Fill the :meth:`~SpectralSurface.upsampled` caches not already at
+    ``new_order`` (default ``2p`` per surface), one stacked pass per order:
+    one forward SHT, one padded resample, one forward SHT on the fine
+    grid and one geometry evaluation. Only batch-invariant operations
+    are stacked, so the fine surfaces (coefficients and geometry
+    installed) are bit-identical to per-surface calls. The fine
+    coefficients are the transform of the resampled points, never a
+    zero-padding: 1e-14 apart, which a 64-cell scene amplifies past 1e-8.
+    """
+    groups: dict = {}
+    for s in surfaces:
+        q = int(new_order or 2 * s.order)
+        if s._fine is None or s._fine.order != q:
+            groups.setdefault((s.order, q, s.aliasing_factor), []).append(s)
+    for (p, q, aliasing), group in groups.items():
+        Xq = np.moveaxis(
+            get_transform(p).resample(stacked_coeffs(group), q), -3, -1)
+        fine = [SpectralSurface(X, q, aliasing) for X in Xq]
+        seed_geometry(fine)     # and, through it, their coefficients
+        for s, f in zip(group, fine):
+            s._fine = f
+
+
+def seed_geometry(surfaces: Sequence[SpectralSurface],
+                  aliased: bool = False) -> None:
+    """Fill the empty geometry caches — native grid, or with ``aliased``
+    the anti-aliasing workspace ``(transform, geometry)`` on the order
+    ``_aliasing_order()`` grid — from one stacked evaluation per order."""
+    attr = "_up_tables" if aliased else "_geom"
+    groups: dict = {}
+    for s in surfaces:
+        if getattr(s, attr) is None:
+            q = s._aliasing_order() if aliased else s.order
+            groups.setdefault((s.order, q), []).append(s)
+    for (p, q), group in groups.items():
+        T = get_transform(q)
+        geom = SpectralSurface._geometry_from_transform(
+            T, SpectralSurface._pad_coeffs_any(stacked_coeffs(group), p, q))
+        for k, s in enumerate(group):
+            setattr(s, attr, (T, geom.cell(k)) if aliased else geom.cell(k))

@@ -1,4 +1,6 @@
 """Collision system tests: meshes, narrow phase, broad phase, volumes, LCP, NCP."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from repro.collision import (
 )
 from repro.patches import cube_sphere
 from repro.runtime import VirtualComm
-from repro.surfaces import sphere
+from repro.surfaces import SpectralSurface, seed_upsampled, sphere
 from repro.vesicle import SingularSelfInteraction
 
 
@@ -35,6 +37,19 @@ class TestMeshes:
         n = m.triangle_normals()
         centers = m.vertices[m.triangles].mean(axis=1)
         assert np.einsum("nk,nk->n", n, centers).min() > 0
+
+    def test_pole_vertices_match_series_evaluation(self):
+        """The cached per-order pole rows reproduce the per-coordinate
+        series evaluation at the two pole-guard points bit for bit."""
+        from repro.surfaces import biconcave_rbc
+        for p in (3, 4, 8):
+            s = biconcave_rbc(order=p, center=(0.3, -0.2, 0.1))
+            m = cell_collision_mesh(s, 0)
+            at = (np.array([1e-6, np.pi - 1e-6]), np.zeros(2))
+            poles = np.stack([s.transform.evaluate(s.coeffs()[k], *at)
+                              for k in range(3)], axis=-1)
+            assert np.array_equal(m.vertices[-2:], poles)
+            assert np.array_equal(m.vertex_weights[-2:], [0.0, 0.0])
 
     def test_patch_mesh(self, small_opts):
         s = cube_sphere(refine=0, options=small_opts)
@@ -253,3 +268,93 @@ class TestNCP:
         assert rep.contact_active
         # after projection the cell should be (nearly) inside the vessel
         assert np.linalg.norm(newpos[0].reshape(-1, 3), axis=1).max() < 2.05
+
+
+class TestSharedFinePass:
+    """The candidates' stacked fine-grid pass is shared between NCP and
+    the near evaluators; sharing changes no bit."""
+
+    @staticmethod
+    def _reports_equal(a, b):
+        da, db = dataclasses.asdict(a), dataclasses.asdict(b)
+        return da.keys() == db.keys() and all(
+            np.array_equal(da[k], db[k]) for k in da)
+
+    def test_project_identical_with_and_without_seeded_surfaces(self):
+        def scene():
+            s1 = sphere(1.0, order=4)
+            s2 = sphere(1.0, center=(2.3, 0, 0), order=4)
+            ops = [SingularSelfInteraction(s) for s in (s1, s2)]
+            cand = [s1.X + np.array([0.25, 0, 0]),
+                    s2.X - np.array([0.25, 0, 0])]
+            return [s1, s2], cand, [o.apply for o in ops]
+
+        cells, cand, mob = scene()
+        plain, rep_plain = NCPSolver(boundary_meshes=[]).project(
+            cells, cand, mob, 0.1)
+        assert rep_plain.contact_active and rep_plain.lcp_solves >= 1
+        assert not any(np.array_equal(a, b) for a, b in zip(plain, cand))
+
+        cells, cand, mob = scene()
+        seeded = [SpectralSurface(X, 4) for X in cand]
+        seed_upsampled(seeded)
+        fine = [s.upsampled(8) for s in seeded]
+        shared, rep_shared = NCPSolver(boundary_meshes=[]).project(
+            cells, cand, mob, 0.1, surfaces=seeded)
+        assert all(np.array_equal(a, b) for a, b in zip(plain, shared))
+        assert self._reports_equal(rep_plain, rep_shared)
+        # the caller's surfaces are read, never re-seeded
+        assert all(s.upsampled(8) is f for s, f in zip(seeded, fine))
+
+        # surfaces that do not sit at the candidates are ignored
+        cells, cand, mob = scene()
+        stale = [SpectralSurface(X + 0.5, 4) for X in cand]
+        seed_upsampled(stale)
+        again, rep_again = NCPSolver(boundary_meshes=[]).project(
+            cells, cand, mob, 0.1, surfaces=stale)
+        assert all(np.array_equal(a, b) for a, b in zip(plain, again))
+        assert self._reports_equal(rep_plain, rep_again)
+
+    def test_moved_cells_get_fine_surfaces_of_the_moved_positions(self):
+        from repro.config import ReproConfig
+        from repro.core import Simulation
+        from repro.physics.terms import BackgroundFlow, Bending
+
+        def squeeze(pts):
+            u = np.zeros_like(pts)
+            u[:, 0] = -1.5 * np.sign(pts[:, 0])
+            return u
+
+        sim = Simulation(
+            [sphere(0.8, center=(-1.0, 0, 0), order=5),
+             sphere(0.8, center=(1.0, 0, 0), order=5)],
+            config=ReproConfig(dt=0.1,
+                               forces=[Bending(), BackgroundFlow(squeeze)]))
+        seen = []
+        project = sim.stepper.ncp.project
+
+        def spy(cells, candidates, *args, **kwargs):
+            seen.append([np.array(c) for c in candidates])
+            return project(cells, candidates, *args, **kwargs)
+
+        sim.stepper.ncp.project = spy
+        moved_steps = 0
+        for _ in range(3):
+            rep = sim.step()
+            candidates = seen[-1]
+            moved = [not np.array_equal(c.X, X)
+                     for c, X in zip(sim.cells, candidates)]
+            if rep.ncp.contact_active:
+                assert all(moved)
+                moved_steps += 1
+            for cell, ev, X in zip(sim.cells, sim.backend.evaluators,
+                                   candidates):
+                cold = SpectralSurface(cell.X, cell.order)
+                assert np.array_equal(ev._fine.X, cold.upsampled(10).X)
+                assert np.array_equal(
+                    ev._fine_w, cold.upsampled(10).quadrature_weights())
+                assert np.array_equal(cell._coeffs, cold.coeffs())
+                if not np.array_equal(cell.X, X):
+                    stale = SpectralSurface(X, cell.order).upsampled(10)
+                    assert not np.array_equal(ev._fine.X, stale.X)
+        assert moved_steps >= 1

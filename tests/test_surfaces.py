@@ -1,8 +1,13 @@
 """Differential-geometry tests on spectral surfaces."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.surfaces import SpectralSurface, biconcave_rbc, ellipsoid, sphere, unit_sphere
+from repro.sph import get_transform
+from repro.surfaces import (SpectralSurface, biconcave_rbc, ellipsoid,
+                            seed_geometry, seed_upsampled, sphere,
+                            stacked_coeffs, unit_sphere)
 
 
 class TestSphereGeometry:
@@ -128,3 +133,110 @@ class TestTransformsOfSurfaces:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             SpectralSurface(np.zeros((4, 9, 3)), order=5)
+
+
+def _stack(p, k, seed=0):
+    """k perturbed, shifted RBCs of order p (distinct, non-symmetric)."""
+    rng = np.random.default_rng(seed + 100 * p + k)
+    base = biconcave_rbc(order=p)
+    return [SpectralSurface(
+        base.X * (1.0 + 0.05 * rng.standard_normal())
+        + 0.02 * rng.standard_normal(base.X.shape)
+        + rng.standard_normal(3), p) for _ in range(k)]
+
+
+def _geometry_equal(a, b):
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))
+
+
+def _percell_fine(X, p, q):
+    """The single-surface operation order, spelled out on raw transforms:
+    forward SHT, padded resample, forward SHT at q, geometry."""
+    T, Tq = get_transform(p), get_transform(q)
+    c = T.forward(np.moveaxis(X, -1, 0))
+    Xq = np.moveaxis(T.resample(c, q), 0, -1).copy()
+    cq = Tq.forward(np.moveaxis(Xq, -1, 0))
+    g = SpectralSurface._geometry_from_transform(Tq, cq)
+    return c, Xq, cq, g, Tq.grid.weights * g.area_ratio
+
+
+@pytest.mark.parametrize("p", [3, 4, 8])
+@pytest.mark.parametrize("k", [1, 2, 64])
+class TestStackedSeeding:
+    """The stacked passes stack only batch-invariant operations, so a
+    seeded cache is bit-identical to the per-cell computation (the
+    64-cell benchmark scene amplifies a last-bit difference past its
+    trajectory pin)."""
+
+    def test_stacked_geometry_matches_per_cell(self, p, k):
+        cells = _stack(p, k)
+        T = get_transform(p)
+        stacked = SpectralSurface._geometry_from_transform(
+            T, stacked_coeffs(cells))
+        for i, c in enumerate(cells):
+            cold = SpectralSurface(c.X, p)
+            assert np.array_equal(cold.coeffs(), c.coeffs())
+            assert _geometry_equal(stacked.cell(i), cold.geometry())
+
+    def test_stacked_fine_pass_matches_per_cell(self, p, k):
+        cells = _stack(p, k)
+        seed_upsampled(cells)
+        for c in cells:
+            coarse, Xq, cq, g, w = _percell_fine(c.X, p, 2 * p)
+            fine = c.upsampled(2 * p)
+            assert fine is c.upsampled(2 * p)        # seeded, not rebuilt
+            assert np.array_equal(c.coeffs(), coarse)
+            assert np.array_equal(fine.X, Xq)
+            assert np.array_equal(fine.coeffs(), cq)
+            assert _geometry_equal(fine.geometry(), g)
+            assert np.array_equal(fine.quadrature_weights(), w)
+            # ... and the stack of one goes the same way
+            solo = SpectralSurface(c.X, p).upsampled(2 * p)
+            assert np.array_equal(solo.X, Xq)
+            assert np.array_equal(solo.quadrature_weights(), w)
+
+    def test_seed_geometry_matches_lazy_fills(self, p, k):
+        cells = _stack(p, k)
+        seed_geometry(cells)
+        seed_geometry(cells, aliased=True)
+        for c in cells:
+            assert c._geom is not None and c._up_tables is not None
+            cold = SpectralSurface(c.X, p)
+            assert _geometry_equal(c._geom, cold.geometry())
+            Tq, gq = cold._upsampled_tables()
+            assert c._up_tables[0] is Tq
+            assert _geometry_equal(c._up_tables[1], gq)
+
+
+class TestSeededCaches:
+    def test_set_positions_drops_the_seeded_fine_surface(self):
+        s = biconcave_rbc(order=4)
+        fine = s.upsampled(8)
+        s.set_positions(1.5 * s.X)
+        assert s.upsampled(8) is not fine
+        assert np.isclose(s.upsampled(8).area(), 2.25 * fine.area(),
+                          rtol=1e-12)
+
+    def test_other_order_replaces_the_cached_resampling(self):
+        s = biconcave_rbc(order=4)
+        assert s.upsampled(8).order == 8
+        assert s.upsampled(6).order == 6
+
+    def test_adopt_caches_only_at_identical_positions(self):
+        a, b = biconcave_rbc(order=4), biconcave_rbc(order=4)
+        seed_upsampled([a])
+        assert b.adopt_caches(a)
+        assert b.upsampled(8) is a.upsampled(8) and b._coeffs is a._coeffs
+        moved = SpectralSurface(a.X + 1e-13, 4)
+        assert not moved.adopt_caches(a)
+        assert moved._coeffs is None and moved._fine is None
+
+    def test_mixed_orders_are_grouped(self):
+        cells = _stack(3, 2) + _stack(4, 3) + _stack(3, 1, seed=7)
+        seed_upsampled(cells)
+        for c in cells:
+            assert c.upsampled(2 * c.order).order == 2 * c.order
+            assert np.array_equal(
+                c.upsampled(2 * c.order).X,
+                _percell_fine(c.X, c.order, 2 * c.order)[1])
