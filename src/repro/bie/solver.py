@@ -285,12 +285,15 @@ class BoundarySolver:
         # evaluation uses the plain double layer throughout.
         opts = self.options
         p = opts.check_order
-        nearest, d2 = self.surface.nearest_patches(targets)
+        # One ranking serves the screen (column 0, the nearest patch) and
+        # the closest-point candidates of the targets that pass it.
+        ranked, d2 = self.surface.nearest_patches(targets, 4)
         reach = (near_tol_factor * opts.check_r_factor * (1 + p)
-                 * self.surface.patch_sizes()[nearest[:, 0]])
+                 * self.surface.patch_sizes()[ranked[:, 0]])
         near = np.nonzero(np.sqrt(d2[:, 0]) <= reach)[0]
         if near.size:
-            cp = surface_closest_point(self.surface, targets[near])
+            cp = surface_closest_point(self.surface, targets[near],
+                                       candidates=ranked[near])
             R = opts.check_r_factor * cp.patch_size
             # Signed distance along the inward direction (fluid side).
             t_par = np.einsum("nk,nk->n", cp.point - targets[near], cp.normal)

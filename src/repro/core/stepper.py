@@ -71,6 +71,8 @@ class StepReport:
     #: whether the boundary-integral GMRES met tolerance (record-only:
     #: the paper caps that solve's iterations by design).
     bie_converged: bool = True
+    #: final relative residual of that solve (0.0 without a vessel).
+    bie_residual: float = 0.0
     #: per-cell convergence of the implicit update (the direct LU path
     #: always reports converged; the GMRES fallback surfaces its flag).
     implicit_converged: list[bool] = dataclasses.field(default_factory=list)
@@ -361,12 +363,14 @@ class TimeStepper:
                 contrib = self.backend.cell_cell()
         return contrib
 
-    def _explicit_velocities(self) -> tuple[list[np.ndarray], int, bool]:
+    def _explicit_velocities(self
+                             ) -> tuple[list[np.ndarray], int, bool, float]:
         cells = self.cells
         ncell = len(cells)
         forces = self.executor.map(self.interfacial_force, range(ncell))
         bie_iters = 0
         bie_converged = True
+        bie_residual = 0.0
 
         # (d) cell-cell contributions (near-singular-aware), via the
         # pluggable backend; evaluators are cached across steps.
@@ -389,6 +393,7 @@ class TimeStepper:
                 phi, rep = solver.solve(g.ravel())
                 bie_iters = rep.iterations
                 bie_converged = bool(getattr(rep, "converged", True))
+                bie_residual = float(getattr(rep, "residual", 0.0))
             # (c) u_Gamma at all cell points, one batched evaluation.
             with self.timers.scope("BIE-FMM"):
                 if ncell:
@@ -403,7 +408,7 @@ class TimeStepper:
         for i in range(ncell):
             if imposed[i] is not None:
                 b[i] += imposed[i].reshape(cells[i].X.shape)
-        return b, bie_iters, bie_converged
+        return b, bie_iters, bie_converged, bie_residual
 
     # -- tension update ---------------------------------------------------------
     def _update_tensions(self, b: list[np.ndarray]
@@ -550,7 +555,7 @@ class TimeStepper:
 
     def step(self, t: float, dt: float) -> StepReport:
         with self.timers.scope("Other"):
-            b, bie_iters, bie_conv = self._explicit_velocities()
+            b, bie_iters, bie_conv, bie_res = self._explicit_velocities()
             tension_iters: list[int] = []
             tension_conv = True
             if self.with_tension:
@@ -571,8 +576,9 @@ class TimeStepper:
                 self.warnings.warn_once(
                     "stepper:bie-nonconverged",
                     "boundary-integral GMRES hit its iteration cap "
-                    "without reaching tolerance (recorded on "
-                    "StepReport.bie_converged)")
+                    f"at relative residual {bie_res:.3g}, short of "
+                    "tolerance (recorded on StepReport.bie_converged / "
+                    "bie_residual)")
             if not all(impl_conv):
                 self.warnings.warn_once(
                     "stepper:implicit-nonconverged",
@@ -626,6 +632,7 @@ class TimeStepper:
         return StepReport(t=t, dt=dt, bie_iterations=bie_iters,
                           implicit_iterations=impl_iters, ncp=ncp_report,
                           recycled=[], bie_converged=bie_conv,
+                          bie_residual=bie_res,
                           implicit_converged=impl_conv,
                           tension_iterations=tension_iters,
                           tension_converged=tension_conv,

@@ -143,24 +143,54 @@ def stokes_dlp_apply(src: np.ndarray, normals: np.ndarray,
                      weighted_density: np.ndarray, trg: np.ndarray) -> np.ndarray:
     """Sum of stresslets: u(x) = sum_j D(x, y_j)[n_j] (w_j phi_j).
 
-    Kernel: (6/8pi) r (r.phi) (r.n) / r^5 with r = x - y.
+    Kernel: (6/8pi) r (r.phi) (r.n) / r^5 with r = x - y, factored like
+    :func:`stokes_slp_apply`: with ``c_ts = (r.phi)(r.n) / r^5``,
+
+        sum_s r c_ts = x (c.1) - c @ Y,
+
+    on source-centred coordinates, in the same tiles and with the same
+    close-pair patch (exact difference formula where the expanded r^2
+    cancels, nothing from pairs below ``_COINCIDENT_R2``).
     """
     src = np.asarray(src, float).reshape(-1, 3)
     trg = np.asarray(trg, float).reshape(-1, 3)
     n = np.asarray(normals, float).reshape(-1, 3)
     phi = np.asarray(weighted_density, float).reshape(-1, 3)
-    out = np.zeros((trg.shape[0], 3))
+    out = np.empty((trg.shape[0], 3))
     scale = -6.0 / (8.0 * np.pi)
-    for a in range(0, trg.shape[0], _CHUNK):
-        t = trg[a:a + _CHUNK]
-        r, r2 = _pairwise_r(t, src)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_r2 = 1.0 / r2
-        inv_r2[~np.isfinite(inv_r2)] = 0.0
-        inv_r5 = inv_r2 ** 2 * np.sqrt(inv_r2)
-        rphi = np.einsum("tsk,sk->ts", r, phi)
-        rn = np.einsum("tsk,sk->ts", r, n)
-        out[a:a + _CHUNK] = scale * np.einsum("ts,tsk->tk", rphi * rn * inv_r5, r)
+    center = src.mean(axis=0) if src.size else np.zeros(3)
+    srcc = src - center
+    src2 = np.einsum("sk,sk->s", srcc, srcc)
+    sphi = np.einsum("sk,sk->s", srcc, phi)
+    sn = np.einsum("sk,sk->s", srcc, n)
+    ns = src.shape[0]
+    tchunk = _TRG_CHUNK_BLOCKED if ns > _SRC_CHUNK else _CHUNK
+    for a in range(0, trg.shape[0], tchunk):
+        t = trg[a:a + tchunk] - center
+        t2 = np.einsum("tk,tk->t", t, t)
+        acc = np.zeros((t.shape[0], 3))
+        for b in range(0, ns, _SRC_CHUNK):
+            sb = slice(b, min(b + _SRC_CHUNK, ns))
+            scale2 = t2[:, None] + src2[None, sb]
+            r2 = scale2 - 2.0 * (t @ srcc[sb].T)
+            floor = 1e-8 * scale2 + 1e-100
+            sus_t, sus_s = np.nonzero(r2 < floor)
+            inv_r2 = 1.0 / np.maximum(r2, floor)
+            c = ((t @ phi[sb].T - sphi[None, sb]) * (t @ n[sb].T - sn[None, sb])
+                 * inv_r2 ** 2 * np.sqrt(inv_r2))
+            acc += t * c.sum(axis=1)[:, None] - c @ srcc[sb]
+            if sus_t.size:
+                # Replace what the bulk sums included for the close pairs
+                # by the exact kernel of the uncentred coordinates.
+                included = c[sus_t, sus_s, None] * (t[sus_t] - srcc[sb][sus_s])
+                rv = trg[a + sus_t] - src[sb][sus_s]
+                r2e = np.einsum("nk,nk->n", rv, rv)
+                with np.errstate(divide="ignore"):
+                    inv_r5 = np.where(r2e > _COINCIDENT_R2, r2e ** -2.5, 0.0)
+                ce = (np.einsum("nk,nk->n", rv, phi[sb][sus_s])
+                      * np.einsum("nk,nk->n", rv, n[sb][sus_s]) * inv_r5)
+                np.add.at(acc, sus_t, ce[:, None] * rv - included)
+        out[a:a + tchunk] = scale * acc
     return out
 
 

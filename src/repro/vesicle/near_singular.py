@@ -14,6 +14,12 @@ once, the on-surface rotation quadrature stacks every target's rotated
 nodes into a handful of synthesis calls, all check points go through a
 single :func:`stokes_slp_apply`, and the density's forward SHT is hoisted
 out of the per-target path entirely.
+
+The closest-point Newton follows the rule stated in
+:mod:`repro.patches.closest_point` — the full step, then every halving in
+one synthesis; a convex step shorter than ``_POLISH_STEP`` taken unjudged;
+a target no rung moved retires — with the acceptance test ``fn <= f0`` and
+without the edge rule (a closed surface has no edges).
 """
 from __future__ import annotations
 
@@ -21,50 +27,81 @@ from typing import Optional
 
 import numpy as np
 
+from ..analysis.guard import PER_ORDER_CACHE_SIZE, freeze, locked_cache
 from ..kernels import stokes_slp_apply
 from ..quadrature.interpolation import barycentric_matrix, barycentric_weights
-from ..sph.alp import normalized_alp, normalized_alp_theta_derivative2
+from ..sph.alp import (normalized_alp, normalized_alp_theta_derivative,
+                       normalized_alp_theta_derivative2)
 from ..sph.rotation import rotated_sphere_points_batch
 from ..quadrature import gauss_legendre
 from ..surfaces import SpectralSurface
 from .self_interaction import pack_coeffs, _coeff_index
 
 _POLE_GUARD = 1e-7
+#: closest-point Newton: halvings of the line search and the step length
+#: below which a convex Newton step is taken unjudged.
+_HALVINGS = 20
+_POLISH_STEP = 1e-7
 #: chunk sizes bounding transient ALP-table memory in the batched paths.
 _DIST_CHUNK = 512
 _SYNTH_POINT_BUDGET = 8192
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("nk,nk->n", a, b)
+
+
+def _stepped(th: np.ndarray, ph: np.ndarray, step: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """``(theta, phi) - step``, kept off the poles and in ``[0, 2 pi)``."""
+    return (np.clip(th - step[..., 0], _POLE_GUARD, np.pi - _POLE_GUARD),
+            (ph - step[..., 1]) % (2.0 * np.pi))
+
+
+@locked_cache(maxsize=PER_ORDER_CACHE_SIZE)
+def _synth_tables(p: int) -> tuple[np.ndarray, ...]:
+    """Frozen per-order tables of :func:`_synthesize`, one entry per packed
+    (l, m): ``l``, ``|m|``, the sign ``Y_l^{-m}`` carries, the column of
+    ``m`` among the ``2p + 1`` distinct orders, ``i m`` and ``-m^2``."""
+    ls, ms = _coeff_index(p)
+    return freeze(ls, np.abs(ms), np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0),
+                  p + ms, 1j * ms, -(ms ** 2))
+
+
 def _synthesize(surface: SpectralSurface, coeff_stack: np.ndarray,
-                theta: np.ndarray, phi: np.ndarray, derivs: bool = False):
+                theta: np.ndarray, phi: np.ndarray, derivs: int = 0):
     """Evaluate several packed series at arbitrary sphere points.
 
-    ``coeff_stack`` has shape (ncoef, k). Returns values (n, k) and, when
-    ``derivs``, first and second parametric derivatives as well.
+    ``coeff_stack`` has shape (ncoef, k). Returns the values (n, k) for
+    ``derivs=0``; ``(val, d_theta, d_phi)`` for ``derivs=1``; those and
+    the three second parametric derivatives for ``derivs=2``.
     """
     p = surface.order
-    ls, ms = _coeff_index(p)
+    ls, am, sign, col, im, m2 = _synth_tables(p)
     theta = np.clip(np.asarray(theta, float).ravel(), _POLE_GUARD, np.pi - _POLE_GUARD)
     phi = np.asarray(phi, float).ravel()
     x = np.cos(theta)
-    if derivs:
+    if derivs == 2:
         P, dP, d2P = normalized_alp_theta_derivative2(p, x)
+    elif derivs == 1:
+        P, dP = normalized_alp_theta_derivative(p, x)
     else:
         P = normalized_alp(p, x)
-    sign = np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
-    phase = np.exp(1j * ms[None, :] * phi[:, None])
-    Bv = P[ls, np.abs(ms), :].T * sign[None, :] * phase
+    # One exp(i m phi) per distinct order, gathered to the (l, m) pairs.
+    phase = np.exp(1j * np.arange(-p, p + 1)[None, :] * phi[:, None])[:, col]
+    Bv = P[ls, am, :].T * sign[None, :] * phase
     val = (Bv @ coeff_stack).real
-    if not derivs:
+    if derivs == 0:
         return val
-    Bt = dP[ls, np.abs(ms), :].T * sign[None, :] * phase
-    Bp = Bv * (1j * ms)[None, :]
-    Btt = d2P[ls, np.abs(ms), :].T * sign[None, :] * phase
-    Btp = Bt * (1j * ms)[None, :]
-    Bpp = Bv * (-(ms ** 2))[None, :]
-    return (val, (Bt @ coeff_stack).real, (Bp @ coeff_stack).real,
-            (Btt @ coeff_stack).real, (Btp @ coeff_stack).real,
-            (Bpp @ coeff_stack).real)
+    Bt = dP[ls, am, :].T * sign[None, :] * phase
+    first = (val, (Bt @ coeff_stack).real,
+             ((Bv * im[None, :]) @ coeff_stack).real)
+    if derivs == 1:
+        return first
+    Btt = d2P[ls, am, :].T * sign[None, :] * phase
+    return first + ((Btt @ coeff_stack).real,
+                    ((Bt * im[None, :]) @ coeff_stack).real,
+                    ((Bv * m2[None, :]) @ coeff_stack).real)
 
 
 class CellNearEvaluator:
@@ -168,51 +205,55 @@ class CellNearEvaluator:
         i0 = self._nearest_fine_nodes(x)[0] if seeds is None else seeds
         th = g.theta[i0 // g.nphi].copy()
         ph = g.phi[i0 % g.nphi].copy()
-        active = np.ones(n, dtype=bool)
+        ladder = 0.5 ** np.arange(_HALVINGS)
+        active = np.arange(n)
         for _ in range(newton_iters):
-            idx = np.nonzero(active)[0]
-            if idx.size == 0:
+            if active.size == 0:
                 break
             X, Xt, Xp, Xtt, Xtp, Xpp = _synthesize(
-                self.surface, self._cX_packed, th[idx], ph[idx], derivs=True)
-            rvec = X - x[idx]
-            g1 = np.einsum("nk,nk->n", rvec, Xt)
-            g2 = np.einsum("nk,nk->n", rvec, Xp)
-            H11 = np.einsum("nk,nk->n", Xt, Xt) + np.einsum("nk,nk->n", rvec, Xtt)
-            H12 = np.einsum("nk,nk->n", Xt, Xp) + np.einsum("nk,nk->n", rvec, Xtp)
-            H22 = np.einsum("nk,nk->n", Xp, Xp) + np.einsum("nk,nk->n", rvec, Xpp)
+                self.surface, self._cX_packed, th[active], ph[active],
+                derivs=2)
+            rvec = X - x[active]
+            g1, g2 = _dot(rvec, Xt), _dot(rvec, Xp)
+            H11 = _dot(Xt, Xt) + _dot(rvec, Xtt)
+            H12 = _dot(Xt, Xp) + _dot(rvec, Xtp)
+            H22 = _dot(Xp, Xp) + _dot(rvec, Xpp)
             det = H11 * H22 - H12 * H12
-            solvable = np.abs(det) > 0.0
-            active[idx[~solvable]] = False
-            idx = idx[solvable]
-            if idx.size == 0:
-                break
-            sel = solvable
-            step = np.stack([
-                (H22[sel] * g1[sel] - H12[sel] * g2[sel]) / det[sel],
-                (H11[sel] * g2[sel] - H12[sel] * g1[sel]) / det[sel]], axis=1)
-            f0 = 0.5 * np.einsum("nk,nk->n", rvec[sel], rvec[sel])
-            # Backtracking line search on the squared distance, batched:
-            # halve each target's step until its objective stops growing.
-            t = np.ones(idx.size)
-            accepted = np.zeros(idx.size, dtype=bool)
-            for _ in range(20):
-                rem = np.nonzero(~accepted)[0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.stack([H22 * g1 - H12 * g2,
+                                 H11 * g2 - H12 * g1], axis=1) / det[:, None]
+            # Polish: a short Newton step on a convex objective lands
+            # within roundoff of the minimizer; take it unjudged.
+            polish = ((H11 > 0.0) & (det > 0.0)
+                      & (np.linalg.norm(step, axis=1) < _POLISH_STEP))
+            th[active[polish]], ph[active[polish]] = _stepped(
+                th[active[polish]], ph[active[polish]], step[polish])
+            # The rest search the ladder; a singular Hessian retires.
+            search = np.nonzero(~polish & (np.abs(det) > 0.0))[0]
+            rows, step = active[search], step[search]
+            f0 = 0.5 * _dot(rvec[search], rvec[search])
+            t = np.zeros(rows.size)           # accepted step length, 0 = none
+            rem = np.arange(rows.size)        # targets still looking for one
+            for ts in (ladder[:1], ladder[1:]):
                 if rem.size == 0:
                     break
-                th_c = np.clip(th[idx[rem]] - t[rem] * step[rem, 0],
-                               _POLE_GUARD, np.pi - _POLE_GUARD)
-                ph_c = (ph[idx[rem]] - t[rem] * step[rem, 1]) % (2.0 * np.pi)
-                Xn = _synthesize(self.surface, self._cX_packed, th_c, ph_c)
-                fn = 0.5 * np.einsum("nk,nk->n", Xn - x[idx[rem]],
-                                     Xn - x[idx[rem]])
-                ok = fn <= f0[rem]
-                th[idx[rem[ok]]] = th_c[ok]
-                ph[idx[rem[ok]]] = ph_c[ok]
-                accepted[rem[ok]] = True
-                t[rem[~ok]] *= 0.5
-            converged = np.linalg.norm(t[:, None] * step, axis=1) < 1e-12
-            active[idx[converged]] = False
+                th_c, ph_c = _stepped(
+                    th[rows[rem], None], ph[rows[rem], None],
+                    ts[None, :, None] * step[rem, None, :])
+                rc = _synthesize(self.surface, self._cX_packed, th_c, ph_c
+                                 ).reshape(rem.size, ts.size, 3) \
+                    - x[rows[rem], None, :]
+                ok = 0.5 * np.einsum("blk,blk->bl", rc, rc) <= f0[rem, None]
+                first = ok.argmax(axis=1)
+                hit = np.nonzero(ok[np.arange(rem.size), first])[0]
+                th[rows[rem[hit]]] = th_c[hit, first[hit]]
+                ph[rows[rem[hit]]] = ph_c[hit, first[hit]]
+                t[rem[hit]] = ts[first[hit]]
+                rem = np.delete(rem, hit)
+            # A target no rung moved would repeat this iteration verbatim.
+            moving = (t > 0.0) & (np.linalg.norm(t[:, None] * step, axis=1)
+                                  >= 1e-12)
+            active = rows[moving]
         y = _synthesize(self.surface, self._cX_packed, th, ph)
         return th, ph, y, np.linalg.norm(y - x, axis=1)
 
@@ -225,8 +266,8 @@ class CellNearEvaluator:
 
     def _surface_normals_at(self, th: np.ndarray,
                             ph: np.ndarray) -> np.ndarray:
-        _, Xt, Xp, *_ = _synthesize(self.surface, self._cX_packed,
-                                    th, ph, derivs=True)
+        _, Xt, Xp = _synthesize(self.surface, self._cX_packed, th, ph,
+                                derivs=1)
         nrm = np.cross(Xt, Xp)
         return nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
 
@@ -264,8 +305,8 @@ class CellNearEvaluator:
             k = sl.stop - sl.start
             th_r, ph_r = rotated_sphere_points_batch(
                 th[sl], ph[sl], self._rot_psi, self._rot_alpha)
-            X, Xt, Xp, *_ = _synthesize(surf, stack, th_r.ravel(),
-                                        ph_r.ravel(), derivs=True)
+            X, Xt, Xp = _synthesize(surf, stack, th_r.ravel(), ph_r.ravel(),
+                                    derivs=1)
             Xr = X[:, :3].reshape(k, nrot, 3)
             fr = X[:, 3:].reshape(k, nrot, 3)
             W = np.linalg.norm(np.cross(Xt[:, :3], Xp[:, :3]),

@@ -147,9 +147,12 @@ class TestBatchedEvaluate:
                                        self.FAR[2:]])}[which]
         routed = []
 
-        def spy(surface, x):
+        def spy(surface, x, candidates):
+            # the solver hands over the ranking its screen already made
+            assert np.array_equal(candidates,
+                                  surface.nearest_patches(x, 4)[0])
             routed.append(len(x))
-            return closest(surface, x)
+            return closest(surface, x, candidates=candidates)
 
         closest = solver_mod.surface_closest_point
         monkeypatch.setattr(solver_mod, "surface_closest_point", spy)

@@ -157,3 +157,72 @@ class TestStokes:
         den = w[:, None] * np.broadcast_to(c, (len(w), 3))
         u = stokes_slp_apply(pts, den, np.array([[0.0, 0.0, 0.0]]))
         assert np.allclose(u[0], 2.0 / 3.0 * c, rtol=1e-8)
+
+
+class TestFactoredStresslet:
+    """``stokes_dlp_apply`` sums the stresslets through rank-3 GEMMs on
+    centred coordinates; the dense matrix forms every displacement."""
+
+    @staticmethod
+    def _cloud(rng, ns):
+        src = rng.normal(size=(ns, 3)) * [1.6, 1.6, 5.0]
+        n = rng.normal(size=(ns, 3))
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        return src, n, rng.normal(size=(ns, 3))
+
+    @staticmethod
+    def _dense(src, n, phi, trg):
+        return (stokes_dlp_matrix(src, n, trg) @ phi.ravel()).reshape(-1, 3)
+
+    # tile boundaries of _SRC_CHUNK = 256 and _TRG_CHUNK_BLOCKED = 512
+    @pytest.mark.parametrize("ns", [15, 255, 256, 257, 1176])
+    @pytest.mark.parametrize("nt", [64, 511, 513])
+    def test_matches_dense_matrix_on_separated_clouds(self, rng, ns, nt):
+        src, n, phi = self._cloud(rng, ns)
+        trg = rng.normal(size=(nt, 3)) + [12.0, 0.0, 0.0]
+        ref = self._dense(src, n, phi, trg)
+        got = stokes_dlp_apply(src, n, phi, trg)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_coincident_pairs_contribute_exactly_zero(self, rng):
+        src, n, phi = self._cloud(rng, 300)
+        for k in (5, 256, 299):                 # both source tiles
+            x = src[[k]]
+            others = np.delete(np.arange(300), k)
+            want = self._dense(src[others], n[others], phi[others], x)
+            got = stokes_dlp_apply(src, n, phi, x)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(stokes_dlp_apply(x, n[[k]], phi[[k]], x),
+                                  np.zeros((1, 3)))
+
+    def test_pairs_1e_9_apart_match_the_difference_formula(self, rng):
+        src, n, phi = self._cloud(rng, 300)
+        d = 1e-9 * np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0)
+        trg = np.vstack([src[[7, 280]] + d, rng.normal(size=(3, 3))])
+        got = stokes_dlp_apply(src, n, phi, trg)
+        ref = self._dense(src, n, phi, trg)     # r = x - y, pair by pair
+        assert np.isfinite(got).all()
+        assert np.abs(ref[:2]).min() > 1e15     # the close pair dominates
+        assert (np.abs(got - ref).max(axis=1)
+                <= 1e-12 * np.abs(ref).max(axis=1)).all()
+
+    def test_empty_inputs(self):
+        z = np.zeros((0, 3))
+        assert stokes_dlp_apply(z, z, z, np.ones((2, 3))).tolist() == \
+            [[0.0] * 3] * 2
+        assert stokes_dlp_apply(np.ones((2, 3)), np.ones((2, 3)),
+                                np.ones((2, 3)), z).shape == (0, 3)
+
+    def test_boundary_apply_without_the_dense_matrix(self, small_opts, rng,
+                                                     monkeypatch):
+        """The matrix-free ``BoundarySolver.apply`` (what a surface too big
+        for the cached check-point matrix runs) is this kernel."""
+        from repro.bie import BoundarySolver
+        from repro.patches import cube_sphere
+        s = BoundarySolver(cube_sphere(refine=0, options=small_opts),
+                           options=small_opts)
+        phi = rng.normal(size=(s.N, 3))
+        dense = s.apply(phi)
+        monkeypatch.setattr(s, "_maybe_dense", lambda: None)
+        free = s.apply(phi)
+        assert np.abs(free - dense).max() <= 1e-12 * np.abs(dense).max()

@@ -5,7 +5,8 @@ import pytest
 from repro.kernels import stokes_slp_apply
 from repro.sph import SHTransform
 from repro.surfaces import ellipsoid, sphere
-from repro.vesicle import CellNearEvaluator, SingularSelfInteraction
+from repro.vesicle import (CellNearEvaluator, SingularSelfInteraction,
+                           near_singular)
 
 
 class TestSingularSelfInteraction:
@@ -156,6 +157,85 @@ class TestBatchedNearPipeline:
             th1, ph1, y1, d1 = ev.closest_point(t)
             assert abs(d[k] - d1) < 1e-10
             assert np.allclose(y[k], y1, atol=1e-8)
+
+
+def _bench_wall_pairing():
+    """The cell-side search of the ``vessel_capsule2`` bench scene: an
+    order-3 RBC against the capsule's coarse nodes inside its near zone."""
+    from repro.config import NumericsOptions
+    from repro.patches import capsule_tube
+    from repro.surfaces import biconcave_rbc
+    opts = NumericsOptions(patch_quad=7, check_order=4, upsample_eta=1,
+                           check_r_factor=0.25)
+    nodes = capsule_tube(length=10.0, radius=1.6, refine=0,
+                         options=opts).coarse().points
+    ev = CellNearEvaluator(biconcave_rbc(0.9, center=(0.0, 0.0, -2.4),
+                                         order=3))
+    return ev, nodes[ev.near_target_indices(nodes)]
+
+
+class TestClosestPointsConverge:
+    """Truth, not route against route: what ``closest_points`` returns is
+    the foot of a perpendicular, to roundoff, after a handful of
+    synthesis calls."""
+
+    @pytest.fixture(scope="class", params=["near_contact", "bench_wall"])
+    def pairing(self, request):
+        if request.param == "bench_wall":
+            return _bench_wall_pairing()
+        from repro.surfaces import biconcave_rbc
+        a = biconcave_rbc(1.0, center=(0.0, 0.0, 0.0), order=8)
+        b = biconcave_rbc(1.0, center=(2.25, 0.0, 0.1), order=8)
+        return CellNearEvaluator(a), b.points
+
+    def test_residual_is_normal_to_the_surface(self, pairing):
+        ev, x = pairing
+        assert len(x) >= 60
+        th, ph, y, d = ev.closest_points(x)
+        X, Xt, Xp = near_singular._synthesize(ev.surface, ev._cX_packed,
+                                              th, ph, derivs=1)
+        assert np.array_equal(X, y)
+        for tangent in (Xt, Xp):
+            misalignment = (np.abs(np.einsum("nk,nk->n", y - x, tangent))
+                            / (np.linalg.norm(tangent, axis=1) * d))
+            assert misalignment.max() <= 1e-12
+
+    def test_few_synthesis_calls(self, pairing, monkeypatch):
+        ev, x = pairing
+        calls = []
+        synthesize = near_singular._synthesize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(near_singular, "_synthesize", counting)
+        ev.closest_points(x)
+        assert len(calls) <= 12
+
+    def test_polish_threshold_is_not_a_tuning_knob(self, pairing,
+                                                   monkeypatch):
+        ev, x = pairing
+        th, ph, y, d = ev.closest_points(x)
+        monkeypatch.setattr(near_singular, "_POLISH_STEP", 1e-6)
+        th6, ph6, y6, d6 = ev.closest_points(x)
+        assert np.abs(y6 - y).max() <= 1e-12
+        assert np.abs(th6 - th).max() <= 1e-12
+        # phi wraps at 2 pi
+        assert np.abs(np.angle(np.exp(1j * (ph6 - ph)))).max() <= 1e-12
+
+    def test_first_derivative_synthesis_is_a_prefix_of_the_second(
+            self, pairing):
+        ev, x = pairing
+        th, ph = np.linspace(0.1, 3.0, 40), np.linspace(0.0, 6.0, 40)
+        two = near_singular._synthesize(ev.surface, ev._cX_packed, th, ph,
+                                        derivs=2)
+        one = near_singular._synthesize(ev.surface, ev._cX_packed, th, ph,
+                                        derivs=1)
+        zero = near_singular._synthesize(ev.surface, ev._cX_packed, th, ph)
+        assert len(two) == 6 and len(one) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(one, two))
+        assert np.array_equal(zero, two[0])
 
 
 class TestCellNearEvaluator:
