@@ -6,22 +6,7 @@ efficiency 1.00, 1.05, 0.93, 0.82, 0.77, 0.66. The model combines measured
 per-unit costs of this library's kernels with the machine model (see
 repro.scaling); shapes should match, absolute times are anchored at the
 reference column.
-
-Run as a script to *measure* strong scaling of the ``"process"``
-executor on this host — a fixed lattice timed serially and at each
-worker count, bit-compared against serial, with the communication
-ledger and the local-model predicted efficiency per row — writing the
-``"strong"`` section of ``BENCH_scaling.json``:
-
-    PYTHONPATH=src python benchmarks/bench_fig4_strong_scaling.py
-        [--reduced] [--ranks N] [--steps K] [--out PATH]
-
-``--reduced`` is the CI smoke variant (8 cells, order 5). The gate is
-completion + exact bit-identity; speedup columns are informational (a
-single-core runner records dispatch overhead, honestly).
 """
-import numpy as np
-
 from repro.scaling import calibrate_costs, strong_scaling_table
 from repro.scaling.harness import format_table
 
@@ -51,51 +36,3 @@ def test_fig4_strong_scaling(benchmark):
     bd = rows[0].breakdown
     assert bd["BIE-FMM"] + bd["Other-FMM"] > bd["COL"] + bd["BIE-solve"]
 
-
-def main() -> int:
-    import argparse
-    import json
-    import sys
-
-    import scaling_cli
-
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--reduced", action="store_true",
-                    help="CI smoke variant: 8 cells, order 5")
-    ap.add_argument("--ranks", type=int, default=4,
-                    help="max process-pool worker count (default 4)")
-    ap.add_argument("--steps", type=int, default=0,
-                    help="steps per timed run (default: 2 reduced, 3 full)")
-    ap.add_argument("--out", default="benchmarks/BENCH_scaling.json")
-    args = ap.parse_args()
-
-    ncells, order = (8, 5) if args.reduced else (16, 6)
-    steps = args.steps or (2 if args.reduced else 3)
-    section = scaling_cli.measure_rows(
-        lambda w: ncells, steps=steps, ranks=args.ranks, order=order)
-    section["scene"]["ncells"] = ncells
-    section["scene"]["reduced"] = args.reduced
-
-    # The paper-scale model table (the pytest face of this bench), kept
-    # next to the measured rows so measured-vs-model reads off one file.
-    model_rows = strong_scaling_table(costs=calibrate_costs(quick=True))
-    section["paper_model"] = {
-        "cores": [r.cores for r in model_rows],
-        "efficiency": [round(r.efficiency, 2) for r in model_rows],
-        "col_bie_efficiency": [round(r.col_bie_efficiency, 2)
-                               for r in model_rows],
-        "paper_efficiency": PAPER_EFF,
-        "paper_col_bie_efficiency": PAPER_COLBIE_EFF,
-    }
-    doc = scaling_cli.write_section(args.out, "strong", section)
-    print(json.dumps(doc["strong"], indent=2))
-    failures = scaling_cli.check_rows(section)
-    if failures:
-        print(f"bit-identity failures: {failures}", file=sys.stderr)
-        return 1
-    print(f"strong section written to {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -3,20 +3,7 @@
 Paper: efficiency (vs 192 cores) 1.00, 0.88, 0.81, 0.71 at 192 -> 12288
 cores; volume fractions 19-27%; collision fractions 13-17%; largest run has
 1,048,576 RBCs and 3,042,967,552 unknowns per step.
-
-Run as a script to *measure* weak scaling of the ``"process"`` executor
-on this host — constant per-rank grain (``base`` cells per worker), each
-sized run bit-compared against its own serial run — writing the
-``"weak"`` section of ``BENCH_scaling.json``:
-
-    PYTHONPATH=src python benchmarks/bench_fig5_weak_scaling_skx.py
-        [--reduced] [--ranks N] [--steps K] [--base N] [--out PATH]
-
-The gate is completion + exact bit-identity; efficiency columns are
-informational on a single-core runner.
 """
-import numpy as np
-
 from repro.scaling import calibrate_costs, weak_scaling_table
 from repro.scaling.harness import format_table
 
@@ -44,50 +31,3 @@ def test_fig5_weak_scaling_skx(benchmark):
     dof = rows[-1].n_rbc * 544 * 4 + rows[-1].n_patches * 121 * 3
     assert abs(dof - 3042967552) / 3042967552 < 0.05
 
-
-def main() -> int:
-    import argparse
-    import json
-    import sys
-
-    import scaling_cli
-
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--reduced", action="store_true",
-                    help="CI smoke variant: 3 cells/rank, order 5")
-    ap.add_argument("--ranks", type=int, default=4,
-                    help="max process-pool worker count (default 4)")
-    ap.add_argument("--steps", type=int, default=0,
-                    help="steps per timed run (default: 2 reduced, 3 full)")
-    ap.add_argument("--base", type=int, default=0,
-                    help="cells per rank (default: 3 reduced, 6 full)")
-    ap.add_argument("--out", default="benchmarks/BENCH_scaling.json")
-    args = ap.parse_args()
-
-    order = 5 if args.reduced else 6
-    base = args.base or (3 if args.reduced else 6)
-    steps = args.steps or (2 if args.reduced else 3)
-    section = scaling_cli.measure_rows(
-        lambda w: base * w, steps=steps, ranks=args.ranks, order=order,
-        weak=True)
-    section["scene"]["cells_per_rank"] = base
-    section["scene"]["reduced"] = args.reduced
-
-    model_rows = weak_scaling_table(costs=calibrate_costs(quick=True))
-    section["paper_model"] = {
-        "cores": [r.cores for r in model_rows],
-        "efficiency": [round(r.efficiency, 2) for r in model_rows],
-        "paper_efficiency": PAPER_EFF,
-    }
-    doc = scaling_cli.write_section(args.out, "weak", section)
-    print(json.dumps(doc["weak"], indent=2))
-    failures = scaling_cli.check_rows(section)
-    if failures:
-        print(f"bit-identity failures: {failures}", file=sys.stderr)
-        return 1
-    print(f"weak section written to {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -27,13 +27,11 @@ runs both variants into one file (the committed-baseline format).
 numerics on the ``"thread"`` executor with N workers) and records its
 trajectory deviation against the serial run — the executor contract
 makes that deviation exactly 0.0, so the row doubles as a determinism
-check. ``--workers-sweep`` times the ``thread`` *and* ``process`` executors at
-workers in {1, 2, 4, 8} and records ms/step per executor per worker
-count — the data behind the ``NumericsOptions.workers`` policy
-(``workers="auto"`` resolves to ``min(cpu_count, ncells)``; on a
-single-core host every sweep row degenerates to serial dispatch, which
-is exactly what the committed numbers should show; see the field's
-docstring). ``--backends`` adds an
+check. ``--workers-sweep`` times the ``thread`` executor at workers in
+{1, 2, 4, 8} and records ms/step per worker count — the data behind
+the ``NumericsOptions.workers`` policy (``workers="auto"`` resolves to
+``min(cpu_count, ncells)``; see the field's docstring). ``--backends``
+adds an
 interaction-backend comparison row (``backend_compare``): the stacked
 ``cell_cell`` sum of a many-cell lattice timed under ``direct`` and
 ``fmm`` with the accelerated backend's relative error against
@@ -241,15 +239,12 @@ def run_scene(steps: int, reduced: bool, workers: int = 0,
             "max_traj_deviation_vs_serial": dev_t,
         }
     if workers_sweep:
-        sweep = {}
-        for executor in ("thread", "process"):
-            row = {}
-            for w in WORKERS_SWEEP:
-                _, ms_w, _ = _timed_run(order, ncells, steps, 1,
-                                        executor=executor, workers=w)
-                row[str(w)] = ms_w
-            sweep[executor] = row
-        out["workers_sweep_ms_per_step"] = sweep
+        row = {}
+        for w in WORKERS_SWEEP:
+            _, ms_w, _ = _timed_run(order, ncells, steps, 1,
+                                    executor="thread", workers=w)
+            row[str(w)] = ms_w
+        out["workers_sweep_ms_per_step"] = {"thread": row}
     if backends:
         out["backend_compare"] = backend_compare(
             *((6, 16) if reduced else (8, 64)))
@@ -349,7 +344,7 @@ def main() -> None:
                          "(0 = skip); records its (zero) trajectory "
                          "deviation vs serial, never gated")
     ap.add_argument("--workers-sweep", action="store_true",
-                    help="time the thread and process executors at workers "
+                    help="time the thread executor at workers "
                          f"in {WORKERS_SWEEP} (informational, never gated)")
     ap.add_argument("--backends", action="store_true",
                     help="add the direct/fmm cell_cell "

@@ -21,7 +21,7 @@ The throughput gate (``> 0.8 * workers`` jobs-per-second scaling) is
 meaningful only where cores exist; on a single-core host the process
 rows can only show dispatch + pickle overhead, and the committed
 numbers must say so honestly — bit-identity, not speedup, is what CI
-gates everywhere (same policy as ``BENCH_scaling.json``).
+gates everywhere.
 
 Run:  PYTHONPATH=src python benchmarks/bench_sweep_throughput.py
       [--jobs N] [--steps N] [--order N] [--workers N] [--out FILE]

@@ -51,34 +51,19 @@ def main() -> None:
     #
     # Every per-cell stage (operator refresh, factorize-and-solve,
     # per-source interaction sums) is an independent task mapped over a
-    # pluggable executor: cfg.numerics.executor = "thread" with
-    # cfg.numerics.workers = N scales the dense stages across N cores,
-    # bit-identical to the serial default (results are gathered by cell
-    # index). cfg.numerics.farfield_dtype = "float32" additionally runs
-    # the far-field smooth quadrature in single precision (~1e-6
-    # relative far-field error; every near/singular path stays float64).
+    # pluggable executor, bit-identical to the serial default (results
+    # are gathered by cell index). cfg.numerics.farfield_dtype =
+    # "float32" additionally runs the far-field smooth quadrature in
+    # single precision (~1e-6 relative far-field error; every
+    # near/singular path stays float64).
     #
     # === Scaling out ====================================================
-    # cfg.numerics.executor = "process" steps past the GIL: the cell-cell
-    # interaction sum is sharded over worker *processes* by the same
-    # Morton space-filling-curve partition the scaling harness models.
-    # Workers never receive pickled operator caches — the per-order
-    # tables (Legendre, rotation, circulant mode symbols) are
-    # geometry-independent and are rebuilt locally in each worker; only
-    # spectral coefficients, positions, and densities cross the process
-    # boundary, and that traffic is priced through the
-    # repro.runtime.CommLedger (scatter / ghost alltoallv / gather), the
-    # same ledger the perfmodel uses to predict paper-scale runs.
-    # Results are gathered by cell index, so process == thread == serial
-    # *bit-identically* — "checked-process" wraps the pool in the
-    # verifying executor if you want that enforced at runtime.
-    # cfg.numerics.workers = "auto" resolves to min(cpu_count, ncells)
-    # (a single-core host degenerates to serial dispatch; small scenes
-    # never over-shard). Strong/weak scaling of the process executor
-    # against the calibrated performance model is measured by
-    #   python benchmarks/bench_fig4_strong_scaling.py --ranks 4
-    #   python benchmarks/bench_fig5_weak_scaling_skx.py --ranks 4
-    # which write the committed benchmarks/BENCH_scaling.json.
+    # In one scene, use cfg.numerics.executor = "thread" with
+    # cfg.numerics.workers = N (or "auto" = min(cpu_count, ncells)).
+    # Across scenes, use SweepRunner(executor="process") (see "Running
+    # sweeps" below). On a 2-vCPU host, two threads step the 6-cell
+    # order-8 scene at 174 ms instead of 222 ms. Two processes run 24
+    # small scenes at 14.5 jobs/s instead of 8.7.
     #
     # Determinism contract & tooling: per-cell tasks may only write
     # state owned by their own cell, and every lru-cached numpy table
@@ -193,9 +178,9 @@ def main() -> None:
     # *independent* scenes (a parameter sweep, per-patient configs).
     # repro.sweep makes one scene a serializable, schedulable unit:
     # a SceneJob is just a ReproConfig + initial cell state + duration,
-    # and SweepRunner multiplexes N of them over the same executor
-    # registry ("serial" / "thread" / "process") the per-cell stages
-    # use. The guarantees, in order of importance:
+    # and SweepRunner multiplexes N of them over an executor of the
+    # registry ("serial" / "thread" / "process"), one whole scene per
+    # task. The guarantees, in order of importance:
     #
     # - bit-identity: every job runs through the same pure run_scene(),
     #   so an N-job process sweep's trajectories are bit-identical to

@@ -54,6 +54,10 @@ NCP_MAX_LCP = 7
 #: Contact activation distance, as a fraction of local mesh edge length.
 CONTACT_EPS_FACTOR = 0.5
 
+#: Executors one scene may step on (keys of
+#: :data:`repro.runtime.executor.EXECUTORS`; ``"process"`` is for sweeps).
+_SCENE_EXECUTORS = ("serial", "thread", "checked")
+
 
 @dataclasses.dataclass
 class NumericsOptions:
@@ -82,41 +86,36 @@ class NumericsOptions:
     #: reassemblies of same-order cell groups as one *stacked* assembly
     #: (``CellBatch.assemble_selfops``).
     selfop_refresh_interval: int = 1
-    #: Executor of the per-cell stage pipeline (a key of
-    #: :data:`repro.runtime.executor.EXECUTORS`): ``"serial"`` (the
+    #: Executor of the per-cell stage pipeline: ``"serial"`` (the
     #: default) runs every per-cell task in order on the calling thread;
     #: ``"thread"`` maps them over a pool of ``workers`` threads;
-    #: ``"process"`` shards the interaction backends' per-source batches
-    #: over a pool of ``workers`` processes (cells Morton-partitioned,
-    #: only coefficients/positions/densities shipped — see
-    #: :mod:`repro.core.shardwork`) while every other stage runs inline;
-    #: ``"checked"`` / ``"checked-process"`` wrap the thread / process
-    #: pool with the runtime determinism checks (frozen shared tables +
-    #: sampled bit-identical task reruns). The per-cell tasks touch
-    #: disjoint state and results are always gathered by cell index, so
-    #: every executor is bit-identical to serial.
+    #: ``"checked"`` wraps serial (``workers=1``) or the thread pool with
+    #: the runtime determinism checks (frozen shared tables + sampled
+    #: bit-identical task reruns). The per-cell tasks touch disjoint
+    #: state and results are always gathered by cell index, so every
+    #: executor is bit-identical to serial.
     #:
     #: This knob parallelizes *within* one scene. For many independent
     #: scenes (parameter sweeps), parallelize *across* scenes instead —
-    #: :class:`repro.sweep.SweepRunner` maps whole scene jobs over the
-    #: same registry, with each scene's own executor left ``"serial"``.
+    #: :class:`repro.sweep.SweepRunner` with ``executor="process"`` maps
+    #: whole scene jobs over a process pool, with each scene's own
+    #: executor left ``"serial"``. ``"process"`` is rejected here: within
+    #: one scene it would run every stage inline behind an idle pool.
     executor: str = "serial"
-    #: Worker count of the ``"thread"``/``"process"`` executors (ignored
+    #: Worker count of the ``"thread"``/``"checked"`` executors (ignored
     #: by ``"serial"``). ``workers=1`` still runs tasks on a pool but
-    #: produces the same results as the serial executor.
+    #: produces the same results as the serial executor. ``"auto"`` is
+    #: ``min(cpu_count, ncells)`` (resolved in
+    #: :func:`repro.runtime.executor.resolve_workers`).
     #:
-    #: ``"auto"`` applies the recommended policy: ``min(cpu_count,
-    #: ncells)`` — one worker per core, capped at the cell count since a
-    #: shard needs at least one cell (resolved in
-    #: :func:`repro.runtime.executor.resolve_workers`). On a single-core
-    #: host that degenerates to ``1``, which matches measurement: the
-    #: ``--workers-sweep`` rows of ``benchmarks/bench_step_breakdown.py``
-    #: are flat to slightly negative there for threads and pay pickling
-    #: overhead for processes. On multi-core hosts prefer ``"auto"``
-    #: with ``"process"`` for many-cell scenes (the per-source
-    #: interaction batches dominate and shard cleanly) and ``"thread"``
-    #: where BLAS-released-GIL overlap suffices; measure with the sweep
-    #: and pin the knee of the curve if you need an explicit count.
+    #: Measured on a 2-vCPU host with BLAS pinned to one thread
+    #: (median ms/step over six fresh-process runs each): ``"thread"`` with
+    #: two workers vs ``"serial"`` is 174 vs 222 on the 6-cell order-8
+    #: ``direct`` scene and 421 vs 445 on the 64-cell order-4 ``fmm``
+    #: lattice. Two worker processes sharding the cell-cell sum measured
+    #: 222 and 511 on the same scenes — why ``"process"`` is left to
+    #: :class:`~repro.sweep.SweepRunner`, where two processes ran 14.5
+    #: vs 8.7 jobs/s.
     workers: "int | str" = 1
     #: Precision of the *far-field* smooth quadrature: ``"float32"`` runs
     #: the far block of :func:`repro.kernels.stokes_slp_apply` and the
@@ -309,10 +308,14 @@ class ReproConfig:
             if n.selfop_refresh_interval < 1:
                 errors.append("selfop_refresh_interval must be >= 1, got "
                               f"{n.selfop_refresh_interval}")
-            from .runtime.executor import EXECUTORS
-            if n.executor not in EXECUTORS:
+            if n.executor == "process":
+                errors.append(
+                    "executor 'process' does not parallelize one scene; "
+                    "run independent scenes through "
+                    "SweepRunner(executor='process') instead")
+            elif n.executor not in _SCENE_EXECUTORS:
                 errors.append(f"unknown executor {n.executor!r}; "
-                              f"registered: {sorted(EXECUTORS)}")
+                              f"choose from {sorted(_SCENE_EXECUTORS)}")
             if n.workers != "auto" and (
                     not isinstance(n.workers, int)
                     or isinstance(n.workers, bool) or n.workers < 1):

@@ -23,15 +23,6 @@ over the backend's :attr:`~InteractionBackend.executor` (assigned by the
 time stepper, serial by default) and the per-target accumulations are
 folded afterwards in fixed source order — the threaded schedule is
 bit-identical to the serial one.
-
-Under the ``"process"`` executor the same fan-out runs across worker
-*processes*: the backend asks the executor for a shard count, partitions
-the source cells with the Morton partitioner (spatially compact shards
-keep each worker's near-zone candidates local), and maps
-:data:`repro.core.shardwork.RUN_SHARD` over payloads carrying only
-coefficients/positions/densities. Results regroup by global source index
-(:func:`_regroup`) so the fixed-order fold — and the trajectory — stays
-bit-identical to serial.
 """
 from __future__ import annotations
 
@@ -42,26 +33,8 @@ import numpy as np
 from ..fmm import GlobalKIFMM
 from ..kernels import stokes_slp_apply
 from ..runtime.executor import Executor, SerialExecutor
-from ..runtime.partition import partition_by_morton
 from ..surfaces import SpectralSurface
 from ..vesicle import CellNearEvaluator
-from . import shardwork
-
-
-def _regroup(ncell: int, shards: Sequence[np.ndarray],
-             per_shard: Sequence[list]) -> list:
-    """Flatten shard results back to global source order.
-
-    Each shard returns one result per source cell, in the shard's own
-    order; the fold that follows must run in ascending global source
-    order (the accumulation order is part of the bit-identity contract),
-    so results are re-indexed by the shard index arrays first.
-    """
-    out = [None] * ncell
-    for shard, vals in zip(shards, per_shard):
-        for j, v in zip(shard, vals):
-            out[int(j)] = v
-    return out
 
 
 class InteractionBackend:
@@ -136,11 +109,9 @@ class InteractionBackend:
     def prepare(self, forces: Sequence[np.ndarray]) -> None:
         """Cache this step's force densities for reuse across targets.
 
-        Densities are normalized to C-contiguous layout: pickling a
-        strided array contiguifies it, and numpy's reductions take
-        layout-dependent (ulp-different) paths — so the parent must
-        compute on the exact layout a worker process would receive, or
-        process != serial at the last bit.
+        Densities are normalized to C-contiguous layout: numpy's
+        reductions take layout-dependent (ulp-different) paths, and the
+        result must not depend on the layout a caller hands in.
         """
         self._forces = [np.ascontiguousarray(f) for f in forces]
         if len(self._forces) != len(self.evaluators):
@@ -161,28 +132,6 @@ class InteractionBackend:
     def _source_velocity(self, j: int, targets: np.ndarray) -> np.ndarray:
         """Cell j's single-layer velocity at arbitrary targets."""
         raise NotImplementedError
-
-    def _source_shards(self) -> Optional[List[np.ndarray]]:
-        """Morton shards of the source-cell indices, or None.
-
-        None means "run the inline per-source path" — the executor did
-        not ask for process-level sharding (:meth:`Executor.shard_count`
-        returned < 2) or there are too few cells to cut. Otherwise the
-        cells are partitioned by the Morton order of their centroids so
-        each shard is spatially compact.
-        """
-        nshard = self.executor.shard_count(len(self.cells))
-        if nshard <= 1:
-            return None
-        centroids = np.array([c.points.mean(axis=0) for c in self.cells])
-        shards = [s for s in partition_by_morton(centroids, nshard)
-                  if s.size]
-        return shards if len(shards) > 1 else None
-
-    def _payload(self, j: int) -> "shardwork.CellPayload":
-        """Source cell j snapshotted for shipment to a worker process."""
-        return shardwork.payload_for(j, self.evaluators[j], self._forces[j],
-                                     self._weighted(j))
 
     def cell_cell(self) -> List[np.ndarray]:
         """``b_i = sum_{j != i} S_j f_j`` at cell i's points, per cell.
@@ -262,42 +211,6 @@ class DirectBackend(InteractionBackend):
     def _source_velocity(self, j: int, targets: np.ndarray) -> np.ndarray:
         return self.evaluators[j].evaluate(self._forces[j], targets,
                                            fine_weighted=self._weighted(j))
-
-    def cell_cell(self) -> List[np.ndarray]:
-        """Shard-aware specialization of the all-pairs sum.
-
-        With a sharding executor the per-source evaluations ship to
-        worker processes as :class:`repro.core.shardwork.DirectShard`
-        batches; each worker excludes a source's own block from the
-        stacked cloud exactly like the inline task stacks "all other
-        cells", and the fold runs in ascending source order either way.
-        """
-        shards = self._source_shards()
-        if shards is None:
-            return super().cell_cell()
-        self._require_prepared()
-        cells = self.cells
-        ncell = len(cells)
-        counts = [c.n_points for c in cells]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        allpts = np.concatenate([c.points for c in cells])
-        tasks = [shardwork.DirectShard(
-                     sources=[self._payload(j) for j in shard],
-                     allpts=allpts,
-                     own=[(int(offsets[j]), int(offsets[j + 1]))
-                          for j in shard])
-                 for shard in shards]
-        vals_per_source = _regroup(
-            ncell, shards, self.executor.map(shardwork.RUN_SHARD, tasks))
-        b = [np.zeros((n, 3)) for n in counts]
-        for j, vals in enumerate(vals_per_source):
-            at = 0
-            for i in range(ncell):
-                if i == j:
-                    continue
-                b[i] += vals[at:at + counts[i]]
-                at += counts[i]
-        return b
 
 
 @register_backend
@@ -437,38 +350,14 @@ class FMMBackend(InteractionBackend):
                            axis=2)
         near = d < self._near_cutoffs()[None, :]
 
-        shards = self._source_shards()
-        if shards is not None:
-            # The global tree evaluation above stays in the parent; the
-            # per-source corrections ship out with parent-selected
-            # candidate targets (other cells' near-zone points).
-            tasks = []
-            for shard in shards:
-                sources, own_points, cand_idx, cand_points = [], [], [], []
-                for j in shard:
-                    own = slice(offsets[j], offsets[j + 1])
-                    cand = near[:, j].copy()
-                    cand[own] = False   # self handled by the subtraction
-                    cidx = np.nonzero(cand)[0]
-                    sources.append(self._payload(j))
-                    own_points.append(allpts[own])
-                    cand_idx.append(cidx)
-                    cand_points.append(allpts[cidx])
-                tasks.append(shardwork.FMMShard(
-                    sources=sources, own_points=own_points,
-                    cand_idx=cand_idx, cand_points=cand_points))
-            corrections = _regroup(
-                ncell, shards, self.executor.map(shardwork.RUN_SHARD, tasks))
-        else:
-            def task(j: int) -> tuple:
-                own = slice(offsets[j], offsets[j + 1])
-                cand = near[:, j].copy()
-                cand[own] = False      # self handled by the subtraction
-                gidx, delta = self._near_deltas(j, allpts,
-                                                np.nonzero(cand)[0])
-                return self._self_smooth(j, allpts[own]), gidx, delta
+        def task(j: int) -> tuple:
+            own = slice(offsets[j], offsets[j + 1])
+            cand = near[:, j].copy()
+            cand[own] = False      # self handled by the subtraction
+            gidx, delta = self._near_deltas(j, allpts, np.nonzero(cand)[0])
+            return self._self_smooth(j, allpts[own]), gidx, delta
 
-            corrections = self.executor.map(task, range(ncell))
+        corrections = self.executor.map(task, range(ncell))
         for j, (self_u, gidx, delta) in enumerate(corrections):
             u[offsets[j]:offsets[j + 1]] -= self_u
             u[gidx] += delta

@@ -145,13 +145,10 @@ class TimeStepper:
             set_debug_checks(True)
         #: executor the per-cell stage tasks are mapped over.
         #: ``workers="auto"`` resolves against the cell count here — a
-        #: pool wider than the shardable work would only sit idle.
+        #: pool wider than the per-cell work would only sit idle.
         self.executor = make_executor(
             self.options.executor,
             resolve_workers(self.options.workers, len(self.cells)))
-        # Process pools fold worker-side timer deltas into these
-        # accumulators (a no-op attach everywhere else).
-        self.executor.attach(self.timers)
         #: order-grouped SoA view used for the stacked-GEMM paths.
         self.batch = CellBatch(self.cells)
         self.seed_caches()

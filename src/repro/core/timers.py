@@ -59,26 +59,6 @@ class ComponentTimers:
                 if stack:
                     self.seconds[stack[-1]] -= elapsed
 
-    def fold(self, deltas: dict[str, float]) -> None:
-        """Fold per-category seconds measured elsewhere into this timer.
-
-        Used by the process executor: worker processes time their tasks
-        on a private ComponentTimers and ship the per-category deltas
-        back with the results. Folding is plain locked addition — like a
-        scope opened on a fresh worker thread, the seconds do *not*
-        subtract from whatever scope the calling thread has open, so the
-        parent's stage scope still accounts its own (dispatch/gather)
-        wall time while the worker seconds land in their own categories.
-        """
-        if not deltas:
-            return
-        unknown = set(deltas) - set(CATEGORIES)
-        if unknown:
-            raise ValueError(f"unknown categories {sorted(unknown)!r}")
-        with self._lock:
-            for category, elapsed in deltas.items():
-                self.seconds[category] += elapsed
-
     def total(self) -> float:
         return sum(self.seconds.values())
 

@@ -13,13 +13,14 @@ assembly) are real implementations operating on the virtual ranks.
 
 :mod:`repro.runtime.executor` is the *real* intra-process parallelism:
 pluggable executors (serial / worker-thread pool) that the time stepper
-maps its per-cell stage tasks over.
+maps its per-cell stage tasks over, and the process pool the sweep
+runner maps whole scenes over.
 """
 from .caches import warm_caches
 from .communicator import VirtualComm, CommLedger
 from .executor import (EXECUTORS, Executor, ProcessPoolExecutor, ProcessTask,
                        SerialExecutor, ThreadPoolExecutor, make_executor,
-                       register_executor, resolve_workers, worker_timers)
+                       register_executor, resolve_workers)
 from .partition import block_partition, partition_by_morton
 from .parallel_sort import parallel_sample_sort
 from .spatial_hash import SpatialHash, morton_keys_3d, morton_decode_3d
@@ -37,7 +38,6 @@ __all__ = [
     "make_executor",
     "register_executor",
     "resolve_workers",
-    "worker_timers",
     "block_partition",
     "partition_by_morton",
     "parallel_sample_sort",

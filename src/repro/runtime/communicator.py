@@ -63,11 +63,6 @@ def _nbytes(x: Any) -> int:
         return sum(_nbytes(v) for v in x)
     if isinstance(x, dict):
         return sum(_nbytes(v) for v in x.values())
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        # Payload objects (e.g. the process executor's shard tasks)
-        # price as the sum of their fields.
-        return sum(_nbytes(getattr(x, f.name))
-                   for f in dataclasses.fields(x))
     if isinstance(x, (int, float, np.integer, np.floating)):
         return 8
     if isinstance(x, (bytes, str)):

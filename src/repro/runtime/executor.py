@@ -11,19 +11,19 @@ policy of *how* that map runs lives here:
 - :class:`ThreadPoolExecutor` — a persistent worker-thread pool. The
   per-cell tasks are numpy-GEMM-heavy (they release the GIL), so threads
   scale the dense stages on multi-core hosts without any serialization.
-- :class:`ProcessPoolExecutor` — a lazy persistent process pool for the
-  stages that opt in by mapping a :class:`ProcessTask` (the Morton-
-  sharded per-source batches of the interaction backends). Everything
-  else — closures, bound methods, anything that mutates parent state —
-  runs inline in the parent, so every existing ``map`` call site keeps
-  its exact serial semantics. Only coefficients, positions and densities
-  cross the process boundary (see :mod:`repro.core.shardwork`); the
-  geometry-independent per-order tables are rebuilt inside each worker
-  and never pickled, and the shard payload traffic is priced on a
-  :class:`repro.runtime.communicator.CommLedger`.
+- :class:`ProcessPoolExecutor` — a lazy persistent process pool for
+  maps whose tasks are whole scenes (:class:`repro.sweep.SweepRunner`
+  maps a :class:`ProcessTask` per scene job). Everything else —
+  closures, bound methods, anything that mutates parent state — runs
+  inline in the parent with exact serial semantics. Within one scene it
+  does not pay: sharding a step's cell-cell sum over two worker
+  processes measured slower than serial on a 2-vCPU host (the tree
+  stays in the parent, every shard pickles its payload and rebuilds its
+  evaluators), so ``NumericsOptions.executor`` accepts only
+  ``"serial"``, ``"thread"`` and ``"checked"``.
 - :class:`CheckedExecutor` — a verifying wrapper around any of the
   above that *enforces* the determinism contract at runtime (see
-  below); ``"checked-process"`` composes it with the process pool.
+  below); ``inner=`` selects the wrapped executor.
 
 Determinism contract: :meth:`Executor.map` returns results ordered by
 input index, tasks touch disjoint per-cell state, and no executor ever
@@ -58,7 +58,6 @@ from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Type, Typ
 import numpy as np
 
 from ..analysis.guard import DeterminismError, tables_frozen
-from .communicator import CommLedger, _nbytes
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -86,24 +85,6 @@ class Executor:
     def close(self) -> None:
         """Release worker resources (idempotent; a no-op when none)."""
 
-    def shard_count(self, n_items: int) -> int:
-        """How many Morton shards a caller should split ``n_items``
-        source cells into before mapping a :class:`ProcessTask`.
-
-        Zero means "don't shard — run the inline per-item path"; only
-        the process executor (and its ``"checked"`` wrapper) ever asks
-        for more.
-        """
-        return 0
-
-    def attach(self, timers=None) -> None:
-        """Give the executor the stepper's :class:`ComponentTimers`.
-
-        Only the process executor uses this (to fold worker-side timer
-        deltas back into the parent's accumulators); everywhere else the
-        tasks already write the parent timers directly.
-        """
-
     def options(self) -> dict:
         """JSON-safe descriptor of this executor (for diagnostics)."""
         return {"executor": self.name, "workers": self.workers}
@@ -129,12 +110,12 @@ def resolve_workers(workers: Union[int, str], n_items: Optional[int] = None) -> 
     """Resolve the ``workers`` knob to a concrete worker count.
 
     ``"auto"`` means ``min(cpu_count, n_items)`` (floored at 1): one
-    worker per core, but never more workers than there are cells to
-    shard — extra pool members would only sit idle while still costing
-    fork/teardown. An integer passes through unchanged (it must be
+    worker per core, but never more workers than there are items to
+    map — extra pool members would only sit idle while still costing
+    start-up/teardown. An integer passes through unchanged (it must be
     >= 1). ``n_items`` is the number of independent work items the
-    caller will shard (the cell count for the stepper); omit it to cap
-    by core count alone.
+    caller will map (the cell count for the stepper, the job count for
+    a sweep); omit it to cap by core count alone.
     """
     if workers == "auto":
         count = os.cpu_count() or 1
@@ -244,42 +225,6 @@ class ProcessTask:
         raise NotImplementedError
 
 
-#: Per-worker-process ComponentTimers scratchpad (created lazily inside
-#: each worker; the parent never touches it).
-_WORKER_TIMERS = None
-
-
-def worker_timers():
-    """The calling process's private :class:`ComponentTimers`.
-
-    Process tasks open their stage scopes on this object; the executor's
-    worker wrapper resets it around each task and ships the per-category
-    deltas back to the parent alongside the result. Imported lazily:
-    ``repro.core`` imports this module at package init, so a top-level
-    import of ``repro.core.timers`` here would be circular.
-    """
-    global _WORKER_TIMERS
-    if _WORKER_TIMERS is None:
-        from ..core.timers import ComponentTimers
-        _WORKER_TIMERS = ComponentTimers()
-    return _WORKER_TIMERS
-
-
-def _process_invoke(fn: "ProcessTask", item):
-    """Worker-side wrapper: run one task, return ``(result, timer deltas)``.
-
-    The timers are reset before the call so the deltas are exactly this
-    task's seconds; the parent folds them into its own accumulators and
-    strips them off before returning results to the caller (timings
-    differ run to run, so they must never reach the ``"checked"``
-    executor's bit-identity comparison).
-    """
-    timers = worker_timers()
-    timers.reset()
-    result = fn(item)
-    return result, dict(timers.seconds)
-
-
 def _terminate_pool(pool) -> None:
     """GC finalizer target (module-level so it never pins an executor)."""
     pool.terminate()
@@ -288,29 +233,17 @@ def _terminate_pool(pool) -> None:
 
 @register_executor
 class ProcessPoolExecutor(Executor):
-    """Process-pool executor: Morton-sharded cell work in worker processes.
+    """Process-pool executor for maps whose tasks are whole scenes.
 
     Dispatch policy: a ``map`` goes to the pool only when the callable
     is a :class:`ProcessTask`, there is more than one item, and more
     than one worker — otherwise it runs inline, preserving the serial
-    semantics of every closure/bound-method call site in the stepper.
-    The interaction backends are the opt-in sites: they ask
-    :meth:`shard_count` how many Morton shards to cut, build payload
-    objects holding only coefficients/positions/densities (see
-    :mod:`repro.core.shardwork`), and map a module-level task over them.
-    Workers rebuild surfaces/evaluators from the payloads; the
-    geometry-independent per-order tables (circulant mode symbols,
-    Legendre/rotation/quadrature) repopulate each worker's own lru
-    caches on first use and persist across tasks and steps.
+    semantics of every closure/bound-method call site. The sweep
+    runner's :class:`~repro.sweep.job.SceneTask` is the opt-in site.
 
     Results are gathered strictly by submission index and exceptions
     re-raise in the parent, so process == thread == serial bit-identical
-    under the determinism contract. Each dispatched map is priced on
-    :attr:`ledger` (a :class:`~repro.runtime.communicator.CommLedger`):
-    a ``scatter`` for the shipped payload bytes, an ``alltoallv`` for
-    the cross-shard far-field ghost targets the payloads carry, and a
-    ``gather`` for the returned velocities — so the scaling harness
-    reads real traffic, not a model.
+    under the determinism contract.
 
     The pool is forked lazily on first dispatch (fork shares the
     parent's warm table caches copy-on-write where the platform allows
@@ -324,19 +257,6 @@ class ProcessPoolExecutor(Executor):
         self._pool = None
         # Guards lazy creation and teardown, exactly like the thread pool.
         self._pool_lock = threading.Lock()
-        #: parent-side ComponentTimers worker deltas fold into (attached
-        #: by the stepper; None = deltas are dropped).
-        self.timers = None
-        #: prices payload scatter / ghost exchange / result gather.
-        self.ledger = CommLedger()
-
-    def shard_count(self, n_items: int) -> int:
-        if self.workers <= 1 or n_items <= 1:
-            return 0
-        return min(self.workers, n_items)
-
-    def attach(self, timers=None) -> None:
-        self.timers = timers
 
     def _ensure_pool(self):
         """Caller must hold ``_pool_lock``."""
@@ -357,27 +277,11 @@ class ProcessPoolExecutor(Executor):
             # Not marked process-safe (or nothing to overlap): the
             # in-order inline loop is the contract's reference semantics.
             return [fn(x) for x in items]
-        phase = getattr(items[0], "phase", None)
-        if phase is not None:
-            self.ledger.phase = phase
-        self.ledger.record("scatter", len(items),
-                           sum(_nbytes(x) for x in items))
-        ghost = sum(getattr(x, "ghost_nbytes", 0) for x in items)
-        if ghost:
-            # Far-field target points each shard needs but does not own.
-            self.ledger.record("alltoallv", len(items), ghost)
         with self._pool_lock:
             pool = self._ensure_pool()
-            handles = [pool.apply_async(_process_invoke, (fn, x))
-                       for x in items]
+            handles = [pool.apply_async(fn, (x,)) for x in items]
         # get() re-raises task exceptions; gather strictly by index.
-        pairs = [h.get() for h in handles]
-        self.ledger.record("gather", len(items),
-                           sum(_nbytes(r) for r, _ in pairs))
-        if self.timers is not None:
-            for _, deltas in pairs:
-                self.timers.fold(deltas)
-        return [r for r, _ in pairs]
+        return [h.get() for h in handles]
 
     def close(self) -> None:
         with self._pool_lock:
@@ -485,37 +389,9 @@ class CheckedExecutor(Executor):
         pos = [round(j * (len(eligible) - 1) / (k - 1)) for j in range(k)]
         return sorted({eligible[p] for p in pos})
 
-    def shard_count(self, n_items: int) -> int:
-        # Forwarded so a wrapped process pool still shards — the rerun
-        # sample then re-executes whole shards inline and compares them
-        # bit-for-bit against the worker-process results.
-        return self.inner.shard_count(n_items)
-
-    def attach(self, timers=None) -> None:
-        self.inner.attach(timers)
-
     def close(self) -> None:
         self.inner.close()
 
     def options(self) -> dict:
         return {"executor": self.name, "workers": self.workers,
                 "inner": self.inner.name}
-
-
-@register_executor
-class CheckedProcessExecutor(CheckedExecutor):
-    """``"checked"`` wrapped around the process pool, as one registry name.
-
-    Config-selectable (``NumericsOptions.executor = "checked-process"``)
-    so acceptance runs can verify the process executor's contract
-    end-to-end: shards execute in worker processes, then the rerun
-    sample recomputes a deterministic subset of them inline in the
-    parent and requires bit-identical results across the process
-    boundary.
-    """
-
-    name = "checked-process"
-
-    def __init__(self, workers: int = 2):
-        super().__init__(workers=workers,
-                         inner=ProcessPoolExecutor(workers=workers))

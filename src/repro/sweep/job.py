@@ -12,9 +12,8 @@ is the module-level :class:`~repro.runtime.executor.ProcessTask`
 wrapper the process pool ships to workers.
 
 Jobs and results are deliberately plain (dataclasses of config +
-numpy arrays): they pickle across process boundaries, price cleanly on
-the communicator ledger, and round-trip to disk for the sweep
-manifest's kill/resume story.
+numpy arrays): they pickle across process boundaries and round-trip to
+disk for the sweep manifest's kill/resume story.
 """
 from __future__ import annotations
 
@@ -227,7 +226,7 @@ def run_scene(job: SceneJob) -> SceneResult:
 
 class SceneTask(ProcessTask):
     """Module-level :class:`ProcessTask` so the process executor ships
-    scene jobs to its fork pool (the PR 9 ``executor.map`` contract:
+    scene jobs to its fork pool (the ``executor.map`` contract:
     picklable, pure ``__call__(self, job)``, disjoint state per item).
 
     Warms the worker's geometry-independent per-order caches before the

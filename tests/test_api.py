@@ -11,6 +11,7 @@ from repro.core.interactions import BACKENDS, FMMBackend
 from repro.physics.terms import (BackgroundFlow, Bending, ForceTerm, Gravity,
                                  ShearFlow, Tension, force_term_from_dict,
                                  register_force_term)
+from repro.runtime.executor import EXECUTORS
 from repro.surfaces import sphere
 from repro.vessel.recycling import OutletRecycler, Region
 
@@ -131,6 +132,7 @@ class TestReproConfig:
             "selfop_refresh_interval", "executor", "workers",
             "farfield_dtype", "debug_checks"]
         assert sorted(BACKENDS) == ["direct", "fmm"]
+        assert sorted(EXECUTORS) == ["checked", "process", "serial", "thread"]
 
     def test_retired_numerics_keys_rejected_by_name(self):
         """A config written before the route consolidation serialized
@@ -145,6 +147,21 @@ class TestReproConfig:
             ReproConfig.from_dict(d)
         for key in retired:
             assert key in str(exc.value)
+
+    def test_scene_executor_values(self):
+        """One scene steps on "serial", "thread" or "checked". "process"
+        would run every stage inline behind an idle pool, so it is
+        rejected with a pointer to the sweep runner, where process
+        parallelism pays; any other name is unknown."""
+        for name in ("serial", "thread", "checked"):
+            ReproConfig(numerics=NumericsOptions(executor=name))
+        with pytest.raises(ValueError, match=r"SweepRunner\(executor='process'\)"):
+            ReproConfig(numerics=NumericsOptions(executor="process"))
+        d = ReproConfig().to_dict()
+        d["numerics"]["executor"] = "gpu"
+        with pytest.raises(ValueError, match=r"unknown executor 'gpu'; choose "
+                           r"from \['checked', 'serial', 'thread'\]"):
+            ReproConfig.from_dict(d)
 
 
 class TestScenarioBuilder:

@@ -11,7 +11,7 @@ from repro.physics.terms import Bending, Gravity, Tension
 from repro.runtime.executor import (EXECUTORS, ProcessPoolExecutor,
                                     ProcessTask, SerialExecutor,
                                     ThreadPoolExecutor, make_executor,
-                                    resolve_workers, worker_timers)
+                                    resolve_workers)
 from repro.surfaces import biconcave_rbc, ellipsoid
 from repro.vesicle import CellNearEvaluator, SingularSelfInteraction
 
@@ -354,43 +354,23 @@ class _Boom(ProcessTask):
         return x
 
 
-class _Timed(ProcessTask):
-    """Accumulates measurable worker-side time in a known category."""
-
-    def __call__(self, x):
-        import time
-        with worker_timers().scope("Other-FMM"):
-            time.sleep(0.002)
-        return x + 1
-
-
 class TestProcessExecutor:
     def test_registry_and_factory(self):
-        from repro.runtime.executor import (CheckedExecutor,
-                                            CheckedProcessExecutor)
-        assert {"process", "checked-process"} <= set(EXECUTORS)
+        assert "process" in EXECUTORS
         ex = make_executor("process", workers=2)
         assert isinstance(ex, ProcessPoolExecutor) and ex.workers == 2
-        assert ex.shard_count(6) == 2       # capped by workers
-        assert ex.shard_count(1) == 0       # nothing to shard
         ex.close()
-        chk = make_executor("checked-process", workers=2)
-        assert isinstance(chk, CheckedProcessExecutor)
-        assert isinstance(chk, CheckedExecutor)
-        assert isinstance(chk.inner, ProcessPoolExecutor)
-        assert chk.shard_count(4) == 2      # forwarded to the inner pool
-        chk.close()
 
     def test_auto_worker_resolution(self):
         import os
         cores = os.cpu_count() or 1
         assert resolve_workers("auto", 4) == max(1, min(cores, 4))
-        assert resolve_workers("auto", 1) == 1   # never more shards than cells
+        assert resolve_workers("auto", 1) == 1   # never more workers than items
         assert resolve_workers(3) == 3
         with pytest.raises(ValueError, match="workers"):
             resolve_workers(0)
         cfg = ReproConfig(numerics=NumericsOptions(
-            executor="process", workers="auto"))
+            executor="thread", workers="auto"))
         assert ReproConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_closures_run_inline_without_pool(self):
@@ -428,74 +408,6 @@ class TestProcessExecutor:
         ex.close()
         assert ex.map(_Square(), [3, 4]) == [9, 16]
         ex.close()
-
-    def test_worker_timer_deltas_fold_into_parent(self):
-        """Worker-side ComponentTimers seconds come back with each result
-        and fold into the parent's accumulators."""
-        from repro.core.timers import ComponentTimers
-        timers = ComponentTimers()
-        ex = ProcessPoolExecutor(workers=2)
-        ex.attach(timers)
-        try:
-            assert ex.map(_Timed(), [0, 1, 2, 3]) == [1, 2, 3, 4]
-        finally:
-            ex.close()
-        assert timers.seconds.get("Other-FMM", 0.0) > 0.0
-
-    def test_ledger_prices_scatter_and_gather(self):
-        ex = ProcessPoolExecutor(workers=2)
-        try:
-            ex.map(_Square(), list(range(8)))
-        finally:
-            ex.close()
-        ops = {op for (_, op) in ex.ledger.stats}
-        assert {"scatter", "gather"} <= ops
-        assert all(s.bytes > 0 for (_, op), s in ex.ledger.stats.items()
-                   if op in ("scatter", "gather"))
-
-    def test_process_bit_identical_on_reference_scene(self):
-        """Acceptance: the process executor is bit-identical to serial
-        on the 6-cell order-8 scene over 5 steps."""
-        serial = _scene(ncells=6, order=8)
-        sharded = _scene(ncells=6, order=8, executor="process", workers=2)
-        serial.run(5)
-        sharded.run(5)
-        assert _max_dev(serial, sharded) == 0.0
-        assert [r.implicit_iterations for r in serial.history] == \
-            [r.implicit_iterations for r in sharded.history]
-
-    @pytest.mark.parametrize("backend", ["fmm"])
-    def test_far_field_backends_bit_identical(self, backend):
-        serial = _scene(ncells=6, order=8, backend=backend)
-        sharded = _scene(ncells=6, order=8, backend=backend,
-                         executor="process", workers=2)
-        serial.run(2)
-        sharded.run(2)
-        assert _max_dev(serial, sharded) == 0.0
-
-    def test_checked_process_composes(self):
-        """The verifying wrapper re-runs sampled shards inline and
-        bit-compares against the worker-process results."""
-        serial = _scene(ncells=6, order=8)
-        checked = _scene(ncells=6, order=8,
-                         executor="checked-process", workers=2)
-        serial.run(3)
-        checked.run(3)
-        assert _max_dev(serial, checked) == 0.0
-
-    def test_checkpoint_resume_bit_identical(self, tmp_path):
-        """save/load_checkpoint round-trips while the process executor is
-        active: the resumed run (fresh pool) matches the original bitwise."""
-        from repro.resilience import load_checkpoint, save_checkpoint
-        full = _scene(ncells=3, order=5, executor="process", workers=2)
-        full.run(2)
-        path = save_checkpoint(full, str(tmp_path / "ckpt"))
-        full.run(2)
-        resumed = load_checkpoint(path)
-        assert resumed.config.numerics.executor == "process"
-        resumed.run(2)
-        assert _max_dev(full, resumed) == 0.0
-        assert full.t == resumed.t
 
 
 class TestThreadPoolLifecycle:

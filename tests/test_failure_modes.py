@@ -186,3 +186,19 @@ class TestCheckpointForwardCompat:
         with pytest.raises(ValueError, match="invalid ReproConfig.*"
                            "direct_tension.*selfop_assembly"):
             load_checkpoint(path)
+
+    def test_process_executor_manifest_is_rejected(self, tmp_path):
+        # A checkpoint written while "process" was a per-scene executor
+        # must fail as data, pointing at the sweep runner — not resume
+        # with every stage running inline behind an idle pool.
+        sim = _resilient_scene()
+        path = save_checkpoint(sim, str(tmp_path / "proc"))
+        with np.load(path, allow_pickle=False) as data:
+            payload = {k: data[k] for k in data.files}
+        manifest = json.loads(str(payload["manifest"]))
+        manifest["config"]["numerics"]["executor"] = "process"
+        payload["manifest"] = np.array(json.dumps(manifest))
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match=r"invalid ReproConfig.*"
+                           r"SweepRunner\(executor='process'\)"):
+            load_checkpoint(path)
