@@ -101,18 +101,27 @@ def stokes_slp_apply(src: np.ndarray, weighted_density: np.ndarray,
         for b in range(0, ns, _SRC_CHUNK):
             sb = slice(b, min(b + _SRC_CHUNK, ns))
             scale2 = t2[:, None] + src2[None, sb]
-            r2 = scale2 - 2.0 * (t @ srcc_w[sb].T)
+            r2 = t @ srcc_w[sb].T
+            r2 *= 2.0
+            np.subtract(scale2, r2, out=r2)
             # Pairs this close lose accuracy to cancellation in the
             # expanded r^2 (and coincident points no longer give an exact
             # zero); clamp them for the bulk GEMMs and patch them exactly
-            # below.
-            floor = rel_floor * scale2 + tiny
-            sus_t, sus_s = np.nonzero(r2 < floor)
-            inv_r = 1.0 / np.sqrt(np.maximum(r2, floor))
-            rf = (t @ f_w[sb].T - sf[None, sb]) * inv_r ** 3  # (r.f) / r^3
+            # below. Most tiles have none, and the test is far cheaper
+            # than the scan.
+            floor = np.multiply(scale2, rel_floor, out=scale2)
+            floor += tiny
+            close = r2 < floor
+            inv_r = np.maximum(r2, floor, out=r2)
+            np.sqrt(inv_r, out=inv_r)
+            np.divide(1.0, inv_r, out=inv_r)
+            rf = t @ f_w[sb].T
+            rf -= sf[None, sb]
+            rf *= inv_r ** 3                                 # (r.f) / r^3
             acc += inv_r @ f_w[sb] + t * rf.sum(axis=1)[:, None] \
                 - rf @ srcc_w[sb]
-            if sus_t.size:
+            if close.any():
+                sus_t, sus_s = np.nonzero(close)
                 rv = t[sus_t] - srcc_w[sb][sus_s]
                 fs = f_w[sb][sus_s]
                 # what the bulk sums included for these pairs...
@@ -172,14 +181,24 @@ def stokes_dlp_apply(src: np.ndarray, normals: np.ndarray,
         for b in range(0, ns, _SRC_CHUNK):
             sb = slice(b, min(b + _SRC_CHUNK, ns))
             scale2 = t2[:, None] + src2[None, sb]
-            r2 = scale2 - 2.0 * (t @ srcc[sb].T)
-            floor = 1e-8 * scale2 + 1e-100
-            sus_t, sus_s = np.nonzero(r2 < floor)
-            inv_r2 = 1.0 / np.maximum(r2, floor)
-            c = ((t @ phi[sb].T - sphi[None, sb]) * (t @ n[sb].T - sn[None, sb])
-                 * inv_r2 ** 2 * np.sqrt(inv_r2))
+            r2 = t @ srcc[sb].T
+            r2 *= 2.0
+            np.subtract(scale2, r2, out=r2)
+            floor = np.multiply(scale2, 1e-8, out=scale2)
+            floor += 1e-100
+            close = r2 < floor
+            inv_r2 = np.maximum(r2, floor, out=r2)
+            np.divide(1.0, inv_r2, out=inv_r2)
+            c = t @ phi[sb].T
+            c -= sphi[None, sb]
+            rn = t @ n[sb].T
+            rn -= sn[None, sb]
+            c *= rn
+            c *= inv_r2 ** 2
+            c *= np.sqrt(inv_r2, out=inv_r2)
             acc += t * c.sum(axis=1)[:, None] - c @ srcc[sb]
-            if sus_t.size:
+            if close.any():
+                sus_t, sus_s = np.nonzero(close)
                 # Replace what the bulk sums included for the close pairs
                 # by the exact kernel of the uncentred coordinates.
                 included = c[sus_t, sus_s, None] * (t[sus_t] - srcc[sb][sus_s])

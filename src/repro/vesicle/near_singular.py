@@ -10,10 +10,16 @@ quadrature, and interpolate between them to the target distance.
 The whole near pipeline is batched: near targets are found with one
 vectorized (chunked) min-distance sweep behind a bounding-sphere
 prefilter, the closest-point Newton iteration runs on all near targets at
-once, the on-surface rotation quadrature stacks every target's rotated
-nodes into a handful of synthesis calls, all check points go through a
-single :func:`stokes_slp_apply`, and the density's forward SHT is hoisted
-out of the per-target path entirely.
+once, all check points go through a single :func:`stokes_slp_apply`, and
+the density's forward SHT is hoisted out of the per-target path entirely.
+
+The on-surface rotation quadrature works on rotated *coefficients*, not
+rotated nodes: a cell's position and density, rotated so a target sits
+at the pole, are still band-limited at the cell's order, so one
+value-only synthesis at the native grid rotated to every target of a
+chunk determines them; fixed real tables (forward SHT composed with
+synthesis on the rotated rule, :func:`_rotated_rule`) then give value
+and both rule derivatives with GEMMs.
 
 The closest-point Newton follows the rule stated in
 :mod:`repro.patches.closest_point` — the full step, then every halving in
@@ -27,12 +33,15 @@ from typing import Optional
 
 import numpy as np
 
-from ..analysis.guard import PER_ORDER_CACHE_SIZE, freeze, locked_cache
+from ..analysis.guard import (HEAVY_TABLE_CACHE_SIZE, PER_ORDER_CACHE_SIZE,
+                              freeze, locked_cache)
 from ..kernels import stokes_slp_apply
 from ..quadrature.interpolation import barycentric_matrix, barycentric_weights
 from ..sph.alp import (normalized_alp, normalized_alp_theta_derivative,
                        normalized_alp_theta_derivative2)
+from ..sph.grid import get_grid
 from ..sph.rotation import rotated_sphere_points_batch
+from ..sph.transform import get_transform
 from ..quadrature import gauss_legendre
 from ..surfaces import SpectralSurface
 from .self_interaction import pack_coeffs, _coeff_index
@@ -66,6 +75,50 @@ def _synth_tables(p: int) -> tuple[np.ndarray, ...]:
     ls, ms = _coeff_index(p)
     return freeze(ls, np.abs(ms), np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0),
                   p + ms, 1j * ms, -(ms ** 2))
+
+
+@locked_cache(maxsize=HEAVY_TABLE_CACHE_SIZE)
+def _rotated_rule(p: int, q: int) -> tuple[np.ndarray, ...]:
+    """Frozen tables of the on-surface rotation quadrature of an order-``p``
+    cell at rule order ``q``: ``(psi, alpha, w, grid_theta, grid_phi,
+    interp, pole)``.
+
+    The rule is Gauss-Legendre in psi on (0, pi) (``q + 1`` nodes, the
+    sphere's ``sin(psi)`` folded into ``w``) times the trapezoid in alpha
+    (``2q + 2`` nodes), flattened psi-major. Rotated so a target sits at
+    the pole, an order-``p`` series is still band-limited at ``p``, so its
+    samples on the native grid (``grid_theta``, ``grid_phi``, N points)
+    determine it. ``interp`` (3, nrot, N) maps those samples to the value,
+    d/dpsi and d/dalpha at the rule nodes and ``pole`` (N,) to the value
+    at the pole: the forward SHT (``analysis_matrix`` rows in packed
+    (l, m) order) followed by the synthesis at (psi, alpha), folded into
+    one real matrix since the samples are real.
+
+    The sample grid is the native one turned by half a longitude step,
+    and the rule is turned back by the same step. A rotated sample then
+    never falls on a pole (a pole's preimage sits at longitude 0 or pi,
+    which the turned grid misses by half a step), whatever the target, so
+    every sample keeps full precision and stays clear of the pole clip of
+    :func:`_synthesize`.
+    """
+    npsi, nalpha = q + 1, 2 * q + 2
+    psi, wpsi = gauss_legendre(npsi, 0.0, np.pi)
+    alpha = 2.0 * np.pi * np.arange(nalpha) / nalpha
+    w = np.outer(wpsi * np.sin(psi), np.full(nalpha, 2.0 * np.pi / nalpha))
+    grid = get_grid(p)
+    turn = np.pi / grid.nphi
+    grid_theta, grid_phi = grid.mesh()
+    ls, am, sign, col, im, _ = _synth_tables(p)
+    A = get_transform(p).analysis_matrix()[ls * (2 * p + 1) + col]
+    P, dP = normalized_alp_theta_derivative(p, np.cos(psi))
+    phase = np.exp(1j * np.outer(alpha - turn, np.arange(-p, p + 1)))[:, col]
+    Bv, Bpsi = [((T[ls, am].T * sign)[:, None, :] * phase).reshape(-1, ls.size)
+                for T in (P, dP)]
+    interp = np.stack([(B @ A).real for B in (Bv, Bpsi, Bv * im)])
+    pole = ((normalized_alp(p, np.ones(1))[ls, am, 0] * sign) @ A).real
+    PSI, ALPHA = np.meshgrid(psi, alpha, indexing="ij")
+    return freeze(PSI.ravel(), ALPHA.ravel(), w.ravel(), grid_theta.ravel(),
+                  (grid_phi + turn).ravel(), interp, pole)
 
 
 def _synthesize(surface: SpectralSurface, coeff_stack: np.ndarray,
@@ -137,15 +190,8 @@ class CellNearEvaluator:
         self.check_order = check_order
         # Rotation quadrature rule of the on-surface singular values
         # (order-dependent only; hoisted out of the per-target path).
-        q = self.up_order
-        npsi, nalpha = q + 1, 2 * q + 2
-        psi, wpsi = gauss_legendre(npsi, 0.0, np.pi)
-        wpsi = wpsi * np.sin(psi)
-        alpha = 2.0 * np.pi * np.arange(nalpha) / nalpha
-        PSI, ALPHA = np.meshgrid(psi, alpha, indexing="ij")
-        self._rot_psi = PSI.ravel()
-        self._rot_alpha = ALPHA.ravel()
-        self._rot_w = np.outer(wpsi, np.full(nalpha, 2.0 * np.pi / nalpha)).ravel()
+        self._rot_psi, self._rot_alpha, self._rot_w = _rotated_rule(
+            p, self.up_order)[:3]
         self.refresh()
 
     def refresh(self) -> None:
@@ -288,39 +334,47 @@ class CellNearEvaluator:
 
         ``cf`` is the packed density coefficient stack (ncoef, 3); ``x0``
         the surface positions at (th, ph) when already known (from the
-        closest-point solve). All targets' rotated nodes are stacked into
-        chunked synthesis calls, then reduced per target.
+        closest-point solve), else read off the rotated samples at the
+        pole. Per chunk of targets, one value-only synthesis samples
+        position and density on the native grid rotated to every
+        target's pole; the :func:`_rotated_rule` tables turn those samples
+        into value, d/dpsi and d/dalpha at the fixed rule nodes. The area
+        weight is ``|X_psi x X_alpha| / sin(psi)`` at interior Gauss
+        nodes, so no pole clip or ``sin(theta)`` division enters.
         """
         surf = self.surface
         n = th.size
-        nrot = self._rot_psi.size
+        psi, _, w, g_th, g_ph, interp, pole = _rotated_rule(surf.order,
+                                                            self.up_order)
+        nrot, N = interp.shape[1:]
+        area = (w / np.sin(psi))[:, None]
         stack = np.concatenate([self._cX_packed, cf], axis=1)
         out = np.empty((n, 3))
-        if x0 is None:
-            x0 = _synthesize(surf, self._cX_packed, th, ph)
         scale = 1.0 / (8.0 * np.pi * self.viscosity)
-        chunk = max(1, _SYNTH_POINT_BUDGET // nrot)
+        chunk = max(1, _SYNTH_POINT_BUDGET // N)
         for a in range(0, n, chunk):
             sl = slice(a, min(a + chunk, n))
             k = sl.stop - sl.start
-            th_r, ph_r = rotated_sphere_points_batch(
-                th[sl], ph[sl], self._rot_psi, self._rot_alpha)
-            X, Xt, Xp = _synthesize(surf, stack, th_r.ravel(), ph_r.ravel(),
-                                    derivs=1)
-            Xr = X[:, :3].reshape(k, nrot, 3)
-            fr = X[:, 3:].reshape(k, nrot, 3)
-            W = np.linalg.norm(np.cross(Xt[:, :3], Xp[:, :3]),
-                               axis=-1).reshape(k, nrot)
-            th_rc = np.clip(th_r, _POLE_GUARD, np.pi - _POLE_GUARD)
-            wq = self._rot_w[None, :] * W / np.sin(th_rc)
-            r = x0[sl][:, None, :] - Xr
-            r2 = np.einsum("tnk,tnk->tn", r, r)
+            th_r, ph_r = rotated_sphere_points_batch(th[sl], ph[sl],
+                                                     g_th, g_ph)
+            # Native-grid samples of X o R_t and f o R_t, one column per
+            # (target, component).
+            smp = _synthesize(surf, stack, th_r.ravel(), ph_r.ravel())
+            smp = smp.reshape(k, N, 6).transpose(1, 0, 2)
+            V = (interp[0] @ smp.reshape(N, 6 * k)).reshape(nrot, k, 6)
+            smpX = smp[:, :, :3].reshape(N, 3 * k)
+            Xpsi, Xalpha = (interp[1:].reshape(2 * nrot, N) @ smpX
+                            ).reshape(2, nrot, k, 3)
+            wq = area * np.linalg.norm(np.cross(Xpsi, Xalpha), axis=-1)
+            xt = x0[sl] if x0 is not None else (pole @ smpX).reshape(k, 3)
+            r = xt[None, :, :] - V[:, :, :3]
+            r2 = np.einsum("ntk,ntk->nt", r, r)
             inv_r = 1.0 / np.sqrt(r2)
-            fw = fr * wq[:, :, None]
-            rf = np.einsum("tnk,tnk->tn", r, fw)
+            fw = V[:, :, 3:] * wq[:, :, None]
+            rf = np.einsum("ntk,ntk->nt", r, fw)
             out[sl] = scale * (
-                np.einsum("tn,tnk->tk", inv_r, fw)
-                + np.einsum("tn,tnk->tk", rf * inv_r ** 3, r))
+                np.einsum("nt,ntk->tk", inv_r, fw)
+                + np.einsum("nt,ntk->tk", rf * inv_r ** 3, r))
         return out
 
     def on_surface_velocity(self, th: float, ph: float,
