@@ -1,7 +1,8 @@
 """A2 — ablation: check-point extrapolation order p and radius R.
 
-DESIGN.md calls out the check-point parameters (paper Sec. 5.1: R = r =
-0.15 L strong scaling, 0.1 L weak scaling; Fig. 9 uses p = 8). This
+The check-point parameters are the accuracy knobs of the boundary solve
+(paper Sec. 5.1: R = r = 0.15 L strong scaling, 0.1 L weak scaling;
+Fig. 9 uses p = 8). This
 ablation sweeps (p, R-factor) on the Laplace sphere problem and reports
 the error landscape: larger R improves the smooth-quadrature accuracy at
 the check points but grows the extrapolation error; moderate values win.

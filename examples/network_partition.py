@@ -1,24 +1,19 @@
-"""Vascular tree network: geometry, filling, and parallel distribution.
+"""Vascular tree network: geometry, patch forest, filling and broad phase.
 
 Builds the random binary vascular tree (the stand-in for the paper's
-Fig. 1 capillary geometry), fills it with RBCs, and walks through the
-parallel infrastructure the paper builds on p4est and MPI:
+Fig. 1 capillary geometry) and walks through the services the paper
+builds on p4est:
 
-- the forest of quadtrees over the vessel patches, refined and
-  partitioned across ranks in Morton order,
-- the Morton-ordered cell partition,
-- the parallel broad phase for collision candidates running through the
-  virtual communicator, with the communication ledger reporting what the
-  exchange would cost.
+- the forest of quadtrees over the vessel patches, refined once and kept
+  in Morton order,
+- the RBC filling of the lumen (paper Sec. 5.1),
+- the collision broad phase over the filled cells (paper Sec. 4, Fig. 3).
 
 Run:  python examples/network_partition.py
 """
-import numpy as np
-
 from repro.collision import candidate_object_pairs, cell_collision_mesh
 from repro.config import NumericsOptions
 from repro.patches import QuadForest
-from repro.runtime import VirtualComm, partition_by_morton
 from repro.vessel import demo_tree_network, fill_with_rbcs
 
 
@@ -32,13 +27,10 @@ def main() -> None:
     patches = net.all_patches(refine=0)
     print(f"vessel patches: {len(patches)}")
 
-    # p4est-substitute: refine the patch forest once, partition to ranks.
+    # p4est-substitute: refine the patch forest once.
     forest = QuadForest(patches)
     forest.refine()
-    P = 8
-    parts = forest.partition(P)
-    print(f"forest leaves after refinement: {forest.n_leaves}; "
-          f"partition sizes over {P} ranks: {[len(p) for p in parts]}")
+    print(f"forest leaves after refinement: {forest.n_leaves}")
 
     # Fill the lumen with RBCs (paper Sec. 5.1 algorithm).
     lo, hi = net.bounding_box()
@@ -46,24 +38,15 @@ def main() -> None:
     fill = fill_with_rbcs(net.signed_distance, (lo, hi), spacing=0.9,
                           lumen_volume=lumen, order=5, shape="rbc",
                           seed=7, max_cells=40)
-    print(f"\n=== filling ===")
+    print("\n=== filling ===")
     print(f"{fill.n_cells} RBCs, volume fraction "
           f"{fill.volume_fraction * 100:.1f}%")
 
-    cell_parts = partition_by_morton(fill.centers, P)
-    print(f"Morton cell partition sizes: {[len(p) for p in cell_parts]}")
-
-    # Parallel collision broad phase through the ledgered communicator.
-    comm = VirtualComm(P)
-    comm.set_phase("COL")
     meshes = [cell_collision_mesh(c, i) for i, c in enumerate(fill.cells)]
-    pairs = candidate_object_pairs(meshes, [None] * len(meshes), 0.05,
-                                   comm=comm)
-    print(f"\n=== parallel broad phase ({P} virtual ranks) ===")
+    pairs = candidate_object_pairs(meshes, [None] * len(meshes), 0.05)
+    print("\n=== collision broad phase ===")
     print(f"candidate near pairs: {len(pairs)} "
           f"(all-pairs would be {fill.n_cells * (fill.n_cells - 1) // 2})")
-    print(f"ledger: {comm.ledger.total_messages()} messages, "
-          f"{comm.ledger.total_bytes()} bytes in phase COL")
 
 
 if __name__ == "__main__":

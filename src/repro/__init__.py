@@ -14,8 +14,7 @@ Public API highlights
   (time step, fluid, force terms, backend, numerics); validates on
   construction and round-trips through ``to_dict``/``from_dict``/JSON.
 - :mod:`repro.presets` — named configs for the paper's scenarios
-  (``sedimentation``, ``shear``, ``vessel_flow``, ``relaxation``,
-  ``strong_scaling``, ``weak_scaling``).
+  (``sedimentation``, ``shear``, ``vessel_flow``, ``relaxation``).
 - :mod:`repro.physics.terms` — composable force terms (``Bending``,
   ``Tension``, ``Gravity``, ``ShearFlow``, ``BackgroundFlow``) plus a
   registry for user-defined ones.
@@ -28,14 +27,15 @@ Public API highlights
   rollback + dt-halved retries, backend degradation) and bit-identical
   checkpoint/restart (``save_checkpoint`` / ``load_checkpoint``);
   policy in :class:`repro.ResilienceOptions`.
-- :class:`repro.bie.BoundarySolver` — the parallel boundary solver
-  (paper Sec. 3).
+- :class:`repro.bie.BoundarySolver` — the boundary solver (paper
+  Sec. 3).
 - :class:`repro.collision.NCPSolver` — contact-free time stepping
   (paper Sec. 4).
 - :mod:`repro.vessel` — vascular geometry, boundary conditions, the RBC
   filling algorithm.
-- :mod:`repro.scaling` — machine models and the strong/weak scaling
-  harness that regenerates the paper's Figs. 4-6.
+
+The paper's Stampede2 scaling runs (Figs. 4-6) are not reproduced: a
+single host cannot exhibit them, and nothing here models them.
 """
 from . import config
 from .config import NumericsOptions, ReproConfig, ResilienceOptions

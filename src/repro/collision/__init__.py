@@ -1,4 +1,4 @@
-"""Parallel collision detection and constraint-based resolution (Sec. 4).
+"""Collision detection and constraint-based resolution (Sec. 4).
 
 The key step that algorithmically unifies RBCs and vessel patches is a
 linear triangle-mesh approximation of both (paper Sec. 4):
@@ -7,11 +7,11 @@ linear triangle-mesh approximation of both (paper Sec. 4):
   (2112-point upsampled sampling in the paper) and open meshes from the
   22 x 22 equispaced patch samples;
 - :mod:`broadphase` finds candidate mesh pairs from space-time bounding
-  boxes hashed on an implicit Morton grid (Fig. 3), optionally through the
-  virtual communicator so the traffic is ledgered;
+  boxes hashed on an implicit Morton grid (Fig. 3);
 - :mod:`distance` provides vectorized point-triangle signed distances;
 - :mod:`volume` computes the interference measure V(t) and its gradient
-  (penetration-volume proxy, substitution S6 in DESIGN.md);
+  (a penetration-volume proxy in place of the paper's exact space-time
+  interference volumes);
 - :mod:`lcp` solves the linear complementarity subproblem with a
   minimum-map Newton method whose linear solves use GMRES;
 - :mod:`ncp` runs the sequence-of-LCPs loop (~7 per step in the paper)

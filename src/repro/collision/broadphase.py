@@ -4,8 +4,8 @@ This is the adaptation of the spatial sorting of Sec. 3.3 to collision
 candidates described in Sec. 4 / Fig. 3: each mesh contributes the
 smallest axis-aligned box containing it at both its current and candidate
 next positions (for vessel patches P+ = P); boxes are rasterized onto an
-implicit uniform grid keyed by Morton codes, keys are (parallel-) sorted,
-and meshes sharing a key become candidate pairs.
+implicit uniform grid keyed by Morton codes, keys are sorted, and meshes
+sharing a key become candidate pairs.
 """
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..runtime.communicator import VirtualComm
-from ..runtime.parallel_sort import parallel_sample_sort
 from ..runtime.spatial_hash import SpatialHash
 from .mesh import CollisionMesh
 
@@ -32,17 +30,10 @@ def space_time_boxes(meshes: Sequence[CollisionMesh],
 
 def candidate_object_pairs(meshes: Sequence[CollisionMesh],
                            candidates: Sequence[Optional[np.ndarray]],
-                           contact_eps: float,
-                           comm: Optional[VirtualComm] = None
-                           ) -> list[tuple[int, int]]:
+                           contact_eps: float) -> list[tuple[int, int]]:
     """Indices (i, j), i < j, of meshes whose space-time boxes share a
     Morton grid cell (at least one cell<->anything pair; boundary-boundary
     pairs are skipped since the vessel is rigid).
-
-    When ``comm`` is given, the keys are routed through the parallel
-    sample sort so the exchange is accounted in the ledger (meshes are
-    assigned to ranks round-robin by index, mirroring the distributed
-    ownership of cells).
     """
     lo, hi = space_time_boxes(meshes, candidates, pad=contact_eps)
     H = float(np.mean(np.linalg.norm(hi - lo, axis=1)))
@@ -59,18 +50,7 @@ def candidate_object_pairs(meshes: Sequence[CollisionMesh],
     keys = np.concatenate(keys_list)
     owners = np.concatenate(owner_list)
 
-    if comm is not None and comm.size > 1:
-        # Distribute (key, owner) records round-robin and sort in parallel;
-        # the collision candidates are then discovered rank-locally.
-        P = comm.size
-        ks = [keys[r::P] for r in range(P)]
-        vs = [owners[r::P] for r in range(P)]
-        sk, sv = parallel_sample_sort(comm, ks, vs)
-        keys = np.concatenate(sk)
-        owners = np.concatenate(sv)
-        order = np.argsort(keys, kind="stable")
-    else:
-        order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys, kind="stable")
     keys = keys[order]
     owners = owners[order]
 

@@ -138,7 +138,6 @@ class NCPSolver:
                 candidates: Sequence[np.ndarray],
                 mobilities: Sequence[Callable[[np.ndarray], np.ndarray]],
                 dt: float,
-                comm=None,
                 surfaces: Optional[Sequence[SpectralSurface]] = None
                 ) -> tuple[list[np.ndarray], NCPReport]:
         """Resolve contacts of the candidate state.
@@ -190,7 +189,7 @@ class NCPSolver:
         cand_meshes = build_meshes(cand_pos, surfaces)
         cand_verts = [m.vertices for m in cand_meshes[:ncell]] + \
                      [None] * len(self.boundary_meshes)
-        pairs = candidate_object_pairs(current, cand_verts, eps, comm=comm)
+        pairs = candidate_object_pairs(current, cand_verts, eps)
 
         contacts = compute_contacts(cand_meshes, pairs, eps)
         vol_before = min((c.volume for c in contacts), default=0.0)

@@ -1,6 +1,6 @@
 """Interference volumes V(t) and their configuration gradients.
 
-Substitution S6 (see DESIGN.md): instead of the exact space-time
+Instead of the exact space-time
 interference volumes of Harmon et al. [17], each connected overlap between
 a pair of meshes contributes the penetration-volume proxy
 

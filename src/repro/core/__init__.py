@@ -5,9 +5,9 @@
 the vessel, the pluggable cell-cell interaction backend (steps 1a-1e),
 the locally-implicit per-cell update (step 2), and the contact
 projection (NCP). :class:`Scenario` / :class:`ScenarioBuilder` are the
-fluent front door. Component wall-times are accumulated in the same
-categories the paper reports (COL, BIE-solve, BIE-FMM, Other-FMM,
-Other) so the scaling harness can regenerate Figs. 4-6.
+fluent front door. :class:`ComponentTimers` accumulates wall-times in
+the categories of the paper's per-step breakdown (COL, BIE-solve,
+BIE-FMM, Other-FMM, Other).
 
 Per-cell stages run through the :class:`CellBatch` structure-of-arrays
 layer (same-order cells share stacked GEMMs) on the executor selected by

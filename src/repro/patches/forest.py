@@ -1,4 +1,4 @@
-"""Forest of quadtrees over the vessel quad mesh (p4est substitute, S4).
+"""Forest of quadtrees over the vessel quad mesh (p4est substitute).
 
 The paper manages the patch hierarchy with p4est [7]: every face of the
 input quad mesh is the root of a quadtree whose leaves are the current
@@ -6,10 +6,9 @@ patches; refining a leaf produces 4 children via polynomial subdivision.
 This module reimplements the services the paper uses:
 
 - leaf storage in global Morton order (tree id major, then interleaved
-  quadrant coordinates), the order used to partition patches across ranks,
+  quadrant coordinates),
 - refine / coarsen with exact polynomial patch data transfer,
-- parent/child relations between the coarse and fine discretizations,
-- equal-load partitioning of the leaves across P ranks.
+- parent/child relations between the coarse and fine discretizations.
 """
 from __future__ import annotations
 
@@ -160,20 +159,6 @@ class QuadForest:
                 cv = 2.0 * v + (1.0 if bj == 0 else -1.0)
                 vals[a, b] = kid_map[(bi, bj)].evaluate(np.array([[cu, cv]]))[0]
         return ChebPatch(vals)
-
-    # -- partitioning -----------------------------------------------------------
-    def partition(self, n_ranks: int) -> list[list[int]]:
-        """Split the Morton-ordered leaves into contiguous, balanced rank
-        ranges (p4est's weighted partition with unit weights)."""
-        n = self.n_leaves
-        counts = [n // n_ranks + (1 if r < n % n_ranks else 0)
-                  for r in range(n_ranks)]
-        out = []
-        start = 0
-        for c in counts:
-            out.append(list(range(start, start + c)))
-            start += c
-        return out
 
     def levels(self) -> np.ndarray:
         return np.array([n.level for n in self.leaves])

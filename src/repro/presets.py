@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 
 from .config import NumericsOptions, ReproConfig
-from .physics.terms import Bending, Gravity, ShearFlow, Tension
+from .physics.terms import Bending, Gravity, ShearFlow
 
 
 def ensure_roundtrip(cfg: ReproConfig) -> ReproConfig:
@@ -98,34 +98,10 @@ def relaxation(dt: float = 0.05, bending_modulus: float = 0.05
         numerics=NumericsOptions())
 
 
-def strong_scaling(dt: float = 0.05) -> ReproConfig:
-    """Strong-scaling runs (paper Fig. 4): full tolerances, the paper's
-    check-point spacing R = r = 0.15 L, FMM far field."""
-    return ReproConfig(
-        dt=dt,
-        forces=[Bending(0.01), Tension()],
-        backend="fmm",
-        with_collisions=True,
-        numerics=NumericsOptions(check_r_factor=0.15))
-
-
-def weak_scaling(dt: float = 0.05) -> ReproConfig:
-    """Weak-scaling runs (paper Figs. 5/6): check-point spacing 0.1 L,
-    FMM far field."""
-    return ReproConfig(
-        dt=dt,
-        forces=[Bending(0.01), Tension()],
-        backend="fmm",
-        with_collisions=True,
-        numerics=NumericsOptions(check_r_factor=0.1))
-
-
 # repro-lint: disable=global-mutable — name->factory table written once here at import time, read-only afterwards
 ALL = {
     "sedimentation": sedimentation,
     "shear": shear,
     "vessel_flow": vessel_flow,
     "relaxation": relaxation,
-    "strong_scaling": strong_scaling,
-    "weak_scaling": weak_scaling,
 }

@@ -1,34 +1,23 @@
-"""Virtual distributed-memory runtime (substitution S1 in DESIGN.md).
+"""In-process runtime: executors, warm caches and Morton hashing.
 
-The paper runs one MPI rank per Stampede2 node. This environment has no
-MPI, so the parallel algorithms run on a *virtual* communicator: P logical
-ranks executed in-process, with every collective routed through
-:class:`VirtualComm`, which implements the MPI semantics over lists of
-per-rank numpy payloads and records a :class:`CommLedger` of message
-counts and bytes. The ledger, combined with the machine models in
-:mod:`repro.scaling`, regenerates the paper's scaling figures; the
-algorithms themselves (Morton spatial hashing of Sec. 3.3, the HykSort-
-style parallel sample sort [45], the sparse all-to-all used by the LCP
-assembly) are real implementations operating on the virtual ranks.
-
-:mod:`repro.runtime.executor` is the *real* intra-process parallelism:
-pluggable executors (serial / worker-thread pool) that the time stepper
-maps its per-cell stage tasks over, and the process pool the sweep
-runner maps whole scenes over.
+- :mod:`repro.runtime.executor` — pluggable executors (serial /
+  worker-thread pool / checked) that the time stepper maps its per-cell
+  stage tasks over, and the process pool the sweep runner maps whole
+  scenes over.
+- :func:`warm_caches` — builds the per-order tables a scene needs before
+  its first step.
+- :mod:`repro.runtime.spatial_hash` — Morton (Z-order) keys on a uniform
+  grid (paper Sec. 3.3), used by the FMM octree and the collision broad
+  phase.
 """
 from .caches import warm_caches
-from .communicator import VirtualComm, CommLedger
 from .executor import (EXECUTORS, Executor, ProcessPoolExecutor, ProcessTask,
                        SerialExecutor, ThreadPoolExecutor, make_executor,
                        register_executor, resolve_workers)
-from .partition import block_partition, partition_by_morton
-from .parallel_sort import parallel_sample_sort
 from .spatial_hash import SpatialHash, morton_keys_3d, morton_decode_3d
 
 __all__ = [
     "warm_caches",
-    "VirtualComm",
-    "CommLedger",
     "Executor",
     "SerialExecutor",
     "ThreadPoolExecutor",
@@ -38,9 +27,6 @@ __all__ = [
     "make_executor",
     "register_executor",
     "resolve_workers",
-    "block_partition",
-    "partition_by_morton",
-    "parallel_sample_sort",
     "SpatialHash",
     "morton_keys_3d",
     "morton_decode_3d",

@@ -1,15 +1,12 @@
 """Morton (Z-order) spatial hashing (paper Sec. 3.3, steps a-c).
 
-Bounding boxes of patch near-zones and RBC space-time extents are sampled
-with equispaced points; samples and query points are assigned Morton keys
-on a uniform grid of spacing H, sorted (in parallel), and matching keys
-identify candidate near pairs. The same machinery drives both the
-closest-point search of the boundary solver and the collision broad phase
-of Sec. 4 (Fig. 3).
+Points and bounding boxes are assigned Morton keys on a uniform grid of
+spacing H; sorting the keys groups objects that share a grid cell. The
+FMM octree orders its boxes by these keys, and the collision broad phase
+of Sec. 4 (Fig. 3) finds candidate pairs by matching the keys of
+space-time bounding boxes.
 """
 from __future__ import annotations
-
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -78,71 +75,11 @@ class SpatialHash:
     def keys_of(self, points: np.ndarray) -> np.ndarray:
         return morton_keys_3d(self.cell_of(points))
 
-    def sample_box(self, lo: np.ndarray, hi: np.ndarray,
-                   max_samples_per_axis: int = 8) -> np.ndarray:
-        """Equispaced samples covering an AABB with spacing < H.
-
-        The samples are guaranteed to touch every grid cell the box
-        overlaps (sampling step <= H with boundary inclusion).
-        """
-        lo = np.asarray(lo, float)
-        hi = np.asarray(hi, float)
-        axes = []
-        for k in range(3):
-            n = int(np.ceil((hi[k] - lo[k]) / self.spacing)) + 1
-            n = min(max(n, 2), max_samples_per_axis * 4)
-            axes.append(np.linspace(lo[k], hi[k], n))
-        A, B, C = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([A.ravel(), B.ravel(), C.ravel()])
-
     def box_keys(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """All grid cells overlapped by an AABB, as unique Morton keys.
-
-        This is the exact version of box sampling (cheaper and tighter
-        than sampling for the box sizes used here).
-        """
+        """All grid cells overlapped by an AABB, as unique Morton keys."""
         lo_c = self.cell_of(np.asarray(lo, float)[None, :])[0]
         hi_c = self.cell_of(np.asarray(hi, float)[None, :])[0]
         ranges = [np.arange(lo_c[k], hi_c[k] + 1) for k in range(3)]
         A, B, C = np.meshgrid(*ranges, indexing="ij")
         ijk = np.column_stack([A.ravel(), B.ravel(), C.ravel()])
         return morton_keys_3d(np.maximum(ijk, 0))
-
-
-def candidate_pairs_by_key(keys_a: np.ndarray, owners_a: np.ndarray,
-                           keys_b: np.ndarray, owners_b: np.ndarray
-                           ) -> np.ndarray:
-    """Unique (owner_a, owner_b) pairs whose hash keys coincide.
-
-    ``owners_*`` map each key to the object (patch, cell, ...) that
-    generated it; objects sharing at least one grid cell become candidate
-    pairs for the narrow phase.
-    """
-    keys_a = np.asarray(keys_a, dtype=np.uint64)
-    keys_b = np.asarray(keys_b, dtype=np.uint64)
-    order_a = np.argsort(keys_a, kind="stable")
-    order_b = np.argsort(keys_b, kind="stable")
-    ka, oa = keys_a[order_a], np.asarray(owners_a)[order_a]
-    kb, ob = keys_b[order_b], np.asarray(owners_b)[order_b]
-    pairs: set[tuple[int, int]] = set()
-    ia = ib = 0
-    while ia < ka.size and ib < kb.size:
-        if ka[ia] < kb[ib]:
-            ia += 1
-        elif ka[ia] > kb[ib]:
-            ib += 1
-        else:
-            key = ka[ia]
-            ja = ia
-            while ja < ka.size and ka[ja] == key:
-                ja += 1
-            jb = ib
-            while jb < kb.size and kb[jb] == key:
-                jb += 1
-            for u in set(oa[ia:ja].tolist()):
-                for v in set(ob[ib:jb].tolist()):
-                    pairs.add((u, v))
-            ia, ib = ja, jb
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.array(sorted(pairs), dtype=np.int64)

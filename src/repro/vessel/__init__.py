@@ -1,6 +1,6 @@
 """Vascular geometry, boundary conditions, RBC filling, recycling.
 
-Substitution S7 (DESIGN.md): the paper's patient-derived vessel geometries
+The paper's patient-derived vessel geometries
 are replaced by procedurally generated ones — networkx centerline graphs
 swept into patch tubes with smooth single-segment vessels (capsules,
 bent tubes) for the solver-accuracy paths. The *algorithms* of paper

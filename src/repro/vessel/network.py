@@ -6,8 +6,8 @@ positions and radii. Geometry services:
 - ``signed_distance(x)`` — distance to the vessel *medial* description
   (union of edge capsules); negative inside the lumen. The filling
   algorithm and collision margins use this analytic form.
-- ``build_patch_surfaces()`` — one patch tube per edge (C0 at junctions;
-  see DESIGN.md S7) for patch-distribution / collision / scaling paths.
+- ``build_patch_surfaces()`` — one closed capsule patch tube per edge;
+  the tubes of adjacent edges overlap at junctions instead of blending.
 - degree-1 nodes are inlets/outlets.
 """
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Tests of the composable scenario API: ReproConfig serialization,
 presets, the ScenarioBuilder and interaction backends."""
 import dataclasses
+import importlib.util
 
 import numpy as np
 import pytest
 
+import repro.runtime
 from repro import NumericsOptions, ReproConfig, Scenario, presets
 from repro.core import DirectBackend, Simulation, make_backend
 from repro.core.interactions import BACKENDS, FMMBackend
@@ -124,8 +126,8 @@ class TestReproConfig:
         assert cfg.numerics is opts
 
     def test_knobs_and_routes_are_pinned(self):
-        """A new numerics knob or interaction route is a deliberate,
-        reviewed diff of this list."""
+        """A new numerics knob, interaction route, preset or runtime export
+        is a deliberate, reviewed diff of this list."""
         assert [f.name for f in dataclasses.fields(NumericsOptions)] == [
             "patch_quad", "check_order", "check_r_factor", "upsample_eta",
             "gmres_max_iter", "gmres_tol", "ncp_max_lcp",
@@ -133,6 +135,14 @@ class TestReproConfig:
             "farfield_dtype", "debug_checks"]
         assert sorted(BACKENDS) == ["direct", "fmm"]
         assert sorted(EXECUTORS) == ["checked", "process", "serial", "thread"]
+        assert sorted(presets.ALL) == ["relaxation", "sedimentation", "shear",
+                                       "vessel_flow"]
+        assert repro.runtime.__all__ == [
+            "warm_caches", "Executor", "SerialExecutor", "ThreadPoolExecutor",
+            "ProcessPoolExecutor", "ProcessTask", "EXECUTORS",
+            "make_executor", "register_executor", "resolve_workers",
+            "SpatialHash", "morton_keys_3d", "morton_decode_3d"]
+        assert importlib.util.find_spec(".scaling", package="repro") is None
 
     def test_retired_numerics_keys_rejected_by_name(self):
         """A config written before the route consolidation serialized

@@ -64,7 +64,7 @@ class TestLaplaceOperator:
 class TestLaplaceConvergence:
     def test_error_decreases_with_refinement(self):
         # Parameters strong enough for the fine rule to resolve the check
-        # distances (see DESIGN.md / bench_fig9 for the full study).
+        # distances (bench_fig9 has the full study).
         conv_opts = NumericsOptions(patch_quad=7, check_order=5,
                                     upsample_eta=2, check_r_factor=0.15,
                                     gmres_max_iter=60)

@@ -1,5 +1,6 @@
 """Collision system tests: meshes, narrow phase, broad phase, volumes, LCP, NCP."""
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from repro.collision import (
     point_triangle_closest,
     signed_distance_to_mesh,
     solve_lcp,
+    space_time_boxes,
 )
 from repro.patches import cube_sphere
-from repro.runtime import VirtualComm
 from repro.surfaces import SpectralSurface, seed_upsampled, sphere
 from repro.vesicle import SingularSelfInteraction
 
@@ -135,14 +136,40 @@ class TestBroadPhase:
         pairs = candidate_object_pairs([m1, m2], [cand, None], 0.1)
         assert (0, 1) in pairs
 
-    def test_parallel_path_matches_serial(self):
-        meshes = [cell_collision_mesh(
-            sphere(1.0, center=(1.6 * i, 0, 0), order=4), i) for i in range(4)]
-        serial = candidate_object_pairs(meshes, [None] * 4, 0.1)
-        comm = VirtualComm(3)
-        par = candidate_object_pairs(meshes, [None] * 4, 0.1, comm=comm)
-        assert set(serial) == set(par)
-        assert comm.ledger.total_messages() > 0
+    @given(st.lists(st.tuples(
+               st.tuples(*[st.floats(-2.5, 2.5)] * 3),
+               st.floats(0.2, 0.9),
+               st.none() | st.tuples(*[st.floats(-1.5, 1.5)] * 3)),
+               min_size=1, max_size=5),
+           st.booleans(),
+           st.floats(0.0, 0.3))
+    @settings(max_examples=25, deadline=None)
+    def test_pairs_equal_brute_force_box_overlaps(self, cells, vessel, eps):
+        """The Morton hash is conservative and the AABB cull exact, so the
+        result is exactly the set of overlapping padded space-time boxes,
+        minus boundary-boundary pairs."""
+        meshes, cands = [], []
+        for i, (centre, radius, move) in enumerate(cells):
+            m = cell_collision_mesh(sphere(radius, center=centre, order=4), i)
+            meshes.append(m)
+            cands.append(None if move is None else m.vertices + np.array(move))
+        if vessel:
+            meshes += list(_cube_sphere_meshes())
+            cands += [None] * 6
+        lo, hi = space_time_boxes(meshes, cands, pad=eps)
+        expected = [(a, b) for a in range(len(meshes))
+                    for b in range(a + 1, len(meshes))
+                    if np.all(lo[a] <= hi[b]) and np.all(lo[b] <= hi[a])
+                    and not (meshes[a].kind == meshes[b].kind == "boundary")]
+        assert candidate_object_pairs(meshes, cands, eps) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _cube_sphere_meshes():
+    from repro.config import NumericsOptions
+    s = cube_sphere(refine=0, options=NumericsOptions(patch_quad=7))
+    return tuple(patch_collision_mesh(p, i, m=6)
+                 for i, p in enumerate(s.patches))
 
 
 class TestContacts:

@@ -1,4 +1,6 @@
-"""Stokes/Laplace kernel identity tests (the sign conventions of DESIGN.md)."""
+"""Stokes/Laplace kernel identity tests: the constant-density double-layer
+identity and the far-field single-layer limits pin each kernel's sign
+convention."""
 import numpy as np
 import pytest
 

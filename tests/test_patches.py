@@ -409,16 +409,6 @@ class TestForest:
         keys = [n.morton_key() for n in F.leaves]
         assert keys == sorted(keys)
 
-    def test_partition_balanced_contiguous(self, small_opts):
-        F = QuadForest(cube_sphere(refine=0, options=small_opts).patches)
-        F.refine()
-        parts = F.partition(5)
-        sizes = [len(p) for p in parts]
-        assert sum(sizes) == 24
-        assert max(sizes) - min(sizes) <= 1
-        flat = [i for p in parts for i in p]
-        assert flat == list(range(24))
-
     def test_total_area_preserved_under_refinement(self, small_opts):
         s = cube_sphere(refine=0, options=small_opts)
         F = QuadForest(s.patches)

@@ -1,79 +1,9 @@
-"""Virtual MPI runtime tests: collectives, ledger, sort, spatial hashing."""
+"""Runtime tests: Morton keys and the spatial hash."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime import (
-    CommLedger,
-    SpatialHash,
-    VirtualComm,
-    block_partition,
-    morton_decode_3d,
-    morton_keys_3d,
-    parallel_sample_sort,
-    partition_by_morton,
-)
-from repro.runtime.spatial_hash import candidate_pairs_by_key
-
-
-class TestCommunicator:
-    def test_allreduce_sum(self):
-        comm = VirtualComm(4)
-        data = [np.full(3, float(r)) for r in range(4)]
-        out = comm.allreduce(data)
-        assert all(np.allclose(o, [6, 6, 6]) for o in out)
-
-    def test_allgather(self):
-        comm = VirtualComm(3)
-        out = comm.allgather([10, 20, 30])
-        assert out == [[10, 20, 30]] * 3
-
-    def test_alltoall_transpose(self):
-        comm = VirtualComm(3)
-        data = [[f"{i}->{j}" for j in range(3)] for i in range(3)]
-        out = comm.alltoall(data)
-        assert out[2][1] == "1->2"
-
-    def test_alltoallv_sparse(self):
-        comm = VirtualComm(4)
-        buckets = [dict() for _ in range(4)]
-        buckets[0][3] = np.arange(5)
-        buckets[2][1] = np.arange(2)
-        out = comm.alltoallv(buckets)
-        assert np.array_equal(out[3][0], np.arange(5))
-        assert np.array_equal(out[1][2], np.arange(2))
-        assert out[0] == {}
-
-    def test_alltoallv_bad_rank(self):
-        comm = VirtualComm(2)
-        with pytest.raises(ValueError):
-            comm.alltoallv([{5: 1}, {}])
-
-    def test_bcast(self):
-        comm = VirtualComm(5)
-        assert comm.bcast(42) == [42] * 5
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            VirtualComm(0)
-        with pytest.raises(ValueError):
-            VirtualComm(3).allreduce([1, 2])
-
-    def test_ledger_accounting(self):
-        ledger = CommLedger()
-        comm = VirtualComm(4, ledger)
-        comm.set_phase("COL")
-        comm.allreduce([np.zeros(10)] * 4)
-        comm.set_phase("BIE-solve")
-        comm.allgather([np.zeros(5)] * 4)
-        assert ledger.total_bytes("COL") > 0
-        assert ledger.total_bytes("BIE-solve") > 0
-        assert ledger.total_messages() > 0
-        assert "COL" in ledger.summary()
-
-    def test_reduce_scalar(self):
-        comm = VirtualComm(3)
-        assert comm.reduce_scalar([1.0, 5.0, 2.0], op=max) == 5.0
+from repro.runtime import SpatialHash, morton_decode_3d, morton_keys_3d
 
 
 class TestMorton:
@@ -118,78 +48,7 @@ class TestSpatialHash:
         k = h.keys_of(np.array([[0.1, 0.1, 0.1], [1.9, 1.9, 1.9]]))
         assert k[0] == k[1]
 
-    def test_candidate_pairs(self):
-        ka = np.array([1, 2, 3], dtype=np.uint64)
-        kb = np.array([3, 4, 1], dtype=np.uint64)
-        pairs = candidate_pairs_by_key(ka, [10, 11, 12], kb, [20, 21, 22])
-        assert (10, 22) in {tuple(p) for p in pairs}
-        assert (12, 20) in {tuple(p) for p in pairs}
-
     def test_invalid_spacing(self):
         with pytest.raises(ValueError):
             SpatialHash(np.zeros(3), 0.0)
 
-
-class TestPartition:
-    def test_block_partition_covers(self):
-        parts = block_partition(10, 3)
-        assert [len(p) for p in parts] == [4, 3, 3]
-        assert np.array_equal(np.concatenate(parts), np.arange(10))
-
-    def test_morton_partition_balanced(self, rng):
-        pts = rng.uniform(size=(100, 3))
-        parts = partition_by_morton(pts, 4)
-        sizes = [len(p) for p in parts]
-        assert sum(sizes) == 100
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_morton_partition_spatially_local(self, rng):
-        # two well-separated clusters should not share ranks for P=2
-        a = rng.normal(size=(50, 3)) * 0.1
-        b = rng.normal(size=(50, 3)) * 0.1 + 100.0
-        parts = partition_by_morton(np.vstack([a, b]), 2)
-        first = set(parts[0].tolist())
-        assert first == set(range(50)) or first == set(range(50, 100))
-
-
-class TestParallelSort:
-    def test_matches_sequential_sort(self, rng):
-        comm = VirtualComm(4)
-        keys = [rng.integers(0, 1000, size=rng.integers(5, 30)).astype(np.uint64)
-                for _ in range(4)]
-        sk, _ = parallel_sample_sort(comm, keys)
-        merged = np.concatenate(sk)
-        assert np.array_equal(merged, np.sort(np.concatenate(keys)))
-
-    def test_values_follow_keys(self, rng):
-        comm = VirtualComm(3)
-        keys = [rng.integers(0, 100, size=20) for _ in range(3)]
-        values = [k.astype(float) * 10 for k in keys]
-        sk, sv = parallel_sample_sort(comm, keys, values)
-        for k, v in zip(sk, sv):
-            assert np.allclose(v, k * 10)
-
-    def test_globally_sorted_across_ranks(self, rng):
-        comm = VirtualComm(5)
-        keys = [rng.integers(0, 10000, size=50) for _ in range(5)]
-        sk, _ = parallel_sample_sort(comm, keys)
-        for r in range(4):
-            if sk[r].size and sk[r + 1].size:
-                assert sk[r][-1] <= sk[r + 1][0]
-
-    @given(st.lists(st.lists(st.integers(0, 1000), max_size=20),
-                    min_size=2, max_size=5))
-    @settings(max_examples=25, deadline=None)
-    def test_property_permutation(self, data):
-        comm = VirtualComm(len(data))
-        keys = [np.array(d, dtype=np.int64) for d in data]
-        sk, _ = parallel_sample_sort(comm, keys)
-        merged = np.concatenate([k for k in sk]) if sk else np.zeros(0)
-        assert np.array_equal(np.sort(np.concatenate(keys)), merged)
-
-    def test_empty_ranks(self):
-        comm = VirtualComm(3)
-        keys = [np.zeros(0, dtype=np.int64), np.array([3, 1]),
-                np.zeros(0, dtype=np.int64)]
-        sk, _ = parallel_sample_sort(comm, keys)
-        assert np.array_equal(np.concatenate(sk), [1, 3])
