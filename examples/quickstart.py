@@ -70,15 +70,12 @@ def main() -> None:
     # (quadrature nodes, Legendre/rotation tables, operator matrices)
     # is frozen read-only at construction — that is what makes the
     # threaded schedule bit-identical to serial. The contract is
-    # enforced three ways: statically by `python -m repro_lint src/`
-    # (an AST pass over every executor.map call site, run in CI);
+    # enforced two ways: statically by `python -m repro_lint src/`
+    # (an AST pass over every executor.map call site, run in CI); and
     # dynamically by cfg.numerics.executor = "checked", which wraps the
     # real executor, holds all shared tables non-writeable during each
     # map and re-runs a sample of tasks to confirm bit-identical
-    # results; and at the array level by cfg.numerics.debug_checks =
-    # True (or REPRO_DEBUG=1), which verifies the @checked shape/dtype
-    # contracts on the hot seams (stokes kernel, stacked LU, SHT,
-    # surface operators) — off by default and near-zero-cost.
+    # results.
     #
     # Multi-cell scenes choose the cell-cell summation backend with
     # cfg.backend (or .backend("name", **knobs) on the builder). Both

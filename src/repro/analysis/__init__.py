@@ -1,20 +1,14 @@
-"""Correctness tooling for the executor pipeline's determinism contract.
+"""Correctness tooling: shared-table guards and fault injection.
 
-Three runtime counterparts to the static passes of ``tools/repro_lint``:
-
-- :mod:`repro.analysis.contracts` — the ``@checked`` array-contract
-  decorator (shape/dtype verification of the hot public seams, active
-  only under ``NumericsOptions.debug_checks`` / ``REPRO_DEBUG=1``).
-- :mod:`repro.analysis.guard` — the shared read-only table registry:
-  ``freeze`` marks cached numpy tables immutable and registers them so
-  the ``"checked"`` executor can hold every shared table non-writeable
-  for the duration of each ``map``.
+- :mod:`repro.analysis.guard` — the shared read-only table registry,
+  the runtime half of the executor determinism contract whose static
+  half is ``tools/repro_lint``: ``freeze`` marks cached numpy tables
+  immutable and registers them so the ``"checked"`` executor can hold
+  every shared table non-writeable for the duration of each ``map``.
 - :mod:`repro.analysis.faultinject` — deterministic fault injection
   (NaN poisoning, forced non-convergence, task crashes) for driving the
   recovery paths of :mod:`repro.resilience` in tests and CI.
 """
-from .contracts import (ContractViolation, checked, checks_enabled,
-                        debug_checks, set_debug_checks)
 from .faultinject import (InjectedFault, force_nonconvergence,
                           force_unresolved_contact, inject_nan,
                           raise_in_task)
@@ -22,8 +16,6 @@ from .guard import (DeterminismError, freeze, freeze_attributes,
                     iter_shared_arrays, register_shared, tables_frozen)
 
 __all__ = [
-    "ContractViolation", "checked", "checks_enabled", "debug_checks",
-    "set_debug_checks",
     "DeterminismError", "freeze", "freeze_attributes",
     "iter_shared_arrays", "register_shared", "tables_frozen",
     "InjectedFault", "inject_nan", "force_nonconvergence",

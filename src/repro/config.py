@@ -125,13 +125,6 @@ class NumericsOptions:
     #: ~1e-6 relative error to the far field only; ``"float64"`` (the
     #: default) is the exact path.
     farfield_dtype: str = "float64"
-    #: Enable the runtime array-contract checks of
-    #: :mod:`repro.analysis.contracts`: every ``@checked`` seam (kernel
-    #: applies, stacked LU solves, SH transforms, operator assembly)
-    #: verifies its declared shapes and dtypes on entry and exit.
-    #: Zero-cost when ``False`` (the default); the environment variable
-    #: ``REPRO_DEBUG=1`` turns it on process-wide without a config.
-    debug_checks: bool = False
 
     def fine_subpatches(self) -> int:
         """Number of subpatches in the fine discretization of one patch."""

@@ -42,7 +42,6 @@ from ..physics import linearized_bending_apply
 from ..physics.bending import implicit_operator_matrix
 from ..physics.tension import TensionSolver
 from ..physics.terms import Bending, CellState, ForceTerm, Tension
-from ..analysis.contracts import set_debug_checks
 from ..resilience.health import WarnOnceRegistry
 from ..runtime.executor import make_executor, resolve_workers
 from ..surfaces import SpectralSurface, seed_upsampled
@@ -139,10 +138,6 @@ class TimeStepper:
         self.implicit_tol = implicit_tol
         self.implicit_max_iter = implicit_max_iter
         self.viscosity = viscosity
-        if self.options.debug_checks:
-            # Process-wide on purpose: the @checked seams live on shared
-            # module-level functions, not per-stepper state.
-            set_debug_checks(True)
         #: executor the per-cell stage tasks are mapped over.
         #: ``workers="auto"`` resolves against the cell count here — a
         #: pool wider than the per-cell work would only sit idle.
@@ -230,9 +225,13 @@ class TimeStepper:
         self._self_ops[i].refresh(full=True)
         self._invalidate_cell(i)
 
-    def _refresh_after_step(self, i: int) -> None:
+    def _refresh_after_step(self, i: int,
+                            full: Optional[bool] = None) -> None:
         """Per-step refresh of cell ``i``: the self-interaction follows
-        the ``selfop_refresh_interval`` amortization policy.
+        the ``selfop_refresh_interval`` amortization policy, unless
+        ``full=True`` forces a reassembly (a cell the contact projection
+        moved: the amortized correction covers only the small per-step
+        motion).
 
         The factorized tension Schur and implicit operators are rebuilt
         only on the interval's *full* reassemblies (the "factorize once
@@ -243,7 +242,7 @@ class TimeStepper:
         inter-cell terms, collision meshes) tracks the true geometry.
         With the default interval of 1 every step is a full rebuild.
         """
-        was_full = self._self_ops[i].refresh()
+        was_full = self._self_ops[i].refresh(full)
         self.backend.refresh(i)
         self._f_ext[i] = None
         if was_full:
@@ -611,9 +610,13 @@ class TimeStepper:
             newpos = candidates
 
         with self.timers.scope("Other"):
-            for cell, X, s in zip(self.cells, newpos, cand):
+            # adopt_caches is refused by the cells NCP moved; those get a
+            # full self-op refresh and fresh factors.
+            force: list[Optional[bool]] = [None] * len(self.cells)
+            for i, (cell, X, s) in enumerate(zip(self.cells, newpos, cand)):
                 cell.set_positions(X)
-                cell.adopt_caches(s)    # refused by the cells NCP moved
+                if not cell.adopt_caches(s):
+                    force[i] = True
             # The rest (moved cells, everyone's geometry) is seeded
             # stacked before the per-cell refresh tasks (self-op
             # reassembly, evaluator rebuilds) fan out over the executor.
@@ -621,10 +624,11 @@ class TimeStepper:
             # Cells due a full block-circulant reassembly this step are
             # assembled as one stacked pass per same-order group; their
             # refresh tasks below consume the installed operators.
-            due = [i for i, op in enumerate(self._self_ops) if op.due_full()]
+            due = [i for i, op in enumerate(self._self_ops)
+                   if force[i] or op.due_full()]
             if len(due) > 1:
                 self.batch.assemble_selfops(self._self_ops, due)
-            self.executor.map(self._refresh_after_step,
+            self.executor.map(lambda i: self._refresh_after_step(i, force[i]),
                               range(len(self.cells)))
         return StepReport(t=t, dt=dt, bie_iterations=bie_iters,
                           implicit_iterations=impl_iters, ncp=ncp_report,

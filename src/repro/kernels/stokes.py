@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.contracts import checked
-
 _CHUNK = 1024
 #: Cache-blocked tile of :func:`stokes_slp_apply`: the handful of
 #: (targets, sources) transients the pairwise sums stream through fit in
@@ -39,8 +37,6 @@ def _pairwise_r(trg_chunk: np.ndarray, src: np.ndarray):
     return r, r2
 
 
-@checked(src="(..., 3) f8", weighted_density="(..., 3) f8",
-         trg="(..., 3) f8", out="(m, 3) f8")
 def stokes_slp_apply(src: np.ndarray, weighted_density: np.ndarray,
                      trg: np.ndarray, viscosity: float = 1.0,
                      exclude_self: bool = False,

@@ -30,7 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..analysis.contracts import checked
 from .gmres import gmres
 
 try:
@@ -231,7 +230,6 @@ class StackedLUFactorization:
             self.singular = tuple(sorted({*self.singular, i}))
             return _gmres_fallback_solve(self._matrices[i], rhs)
 
-    @checked(rhs="(k, n)", out="(k, n) f8")
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve all systems against a ``(k, n)`` right-hand-side stack."""
         rhs = np.asarray(rhs, float)

@@ -214,9 +214,9 @@ class ProcessTask:
     is a ``ProcessTask`` — everything else (closures, bound methods,
     anything that mutates parent state) runs inline in the parent, which
     is what keeps every existing ``map`` call site on its exact serial
-    semantics. Subclasses must therefore be module-level (picklable —
-    the ``picklable-task`` lint pass enforces this), hold only picklable
-    state, and implement ``__call__(item)`` as a pure function of
+    semantics. Subclasses must therefore be module-level (workers
+    unpickle them by module path), hold only picklable state, and
+    implement ``__call__(item)`` as a pure function of
     ``(self, item)``: no parent state is visible in the worker, and the
     result must be bit-identical to running the same call inline.
     """

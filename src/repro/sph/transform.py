@@ -22,7 +22,6 @@ import threading
 
 import numpy as np
 
-from ..analysis.contracts import checked
 from ..analysis.guard import (PER_ORDER_CACHE_SIZE, freeze,
                               freeze_attributes, locked_cache)
 from .alp import (
@@ -137,7 +136,6 @@ class SHTransform:
                                         self._tab.d2P)
 
     # -- analysis ---------------------------------------------------------
-    @checked(f="(..., nlat, nphi)", out="(..., nlat, m) c16")
     def forward(self, f: np.ndarray) -> np.ndarray:
         """Forward SHT of a real or complex field of shape (..., nlat, nphi).
 

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..analysis.contracts import checked
 from ..analysis.guard import HEAVY_TABLE_CACHE_SIZE, freeze, locked_cache
 from ..sph import SHTransform, get_transform
 from ..sph.grid import SphGrid
@@ -493,19 +492,16 @@ class SpectralSurface:
         self._dense_ops = {"grad": grad, "div": div, "lb": lb}
         return self._dense_ops
 
-    @checked(out="(3*N, N) f8")
     def surface_gradient_matrix(self) -> np.ndarray:
         """Dense (3N, N) operator: scalar grid field -> tangential
         gradient field, both raveled in grid order (cached per geometry)."""
         return self._dense_operator_tables()["grad"]
 
-    @checked(out="(N, 3*N) f8")
     def surface_divergence_matrix(self) -> np.ndarray:
         """Dense (N, 3N) operator: raveled vector grid field -> surface
         divergence (cached per geometry)."""
         return self._dense_operator_tables()["div"]
 
-    @checked(out="(N, N) f8")
     def laplace_beltrami_matrix(self) -> np.ndarray:
         """Dense (N, N) Laplace-Beltrami operator on scalar grid fields
         (cached per geometry)."""

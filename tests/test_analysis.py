@@ -1,140 +1,11 @@
-"""Runtime counterparts of the static passes: the ``@checked`` array
-contracts, the frozen shared-table registry, and the library-hygiene
-fixes (real errors instead of asserts)."""
+"""Runtime counterparts of the static passes: the frozen shared-table
+registry and the library-hygiene fixes (real errors instead of
+asserts)."""
 import numpy as np
 import pytest
 
 from repro import presets
-from repro.analysis import (ContractViolation, checked, checks_enabled,
-                            debug_checks, freeze, register_shared,
-                            tables_frozen)
-from repro.analysis.contracts import parse_spec
-from repro.config import NumericsOptions, ReproConfig
-from repro.surfaces import biconcave_rbc
-
-
-class TestSpecParsing:
-    def test_shapes_and_dtypes(self):
-        shape, dtype = parse_spec("(n, 3) f8")
-        assert shape == ("n", 3) and dtype == np.dtype("f8")
-        shape, dtype = parse_spec("(3*N,) f8")
-        assert shape == ((3, "N"),)
-        shape, dtype = parse_spec("(..., nlat, nphi)")
-        assert shape[0] is Ellipsis and dtype is None
-        shape, dtype = parse_spec("c16")
-        assert shape is None and dtype == np.dtype("c16")
-
-    def test_rejects_malformed(self):
-        with pytest.raises((TypeError, ValueError, SyntaxError)):
-            parse_spec("(n,3")              # unclosed: read as a dtype
-        with pytest.raises(TypeError):
-            parse_spec("(n, 3) nosuchdtype")
-        with pytest.raises(ValueError):
-            parse_spec("(n, ..., 3) f8")     # ellipsis must lead
-
-    def test_decoration_validates_parameter_names(self):
-        with pytest.raises(TypeError):
-            @checked(nosucharg="(n,) f8")
-            def f(x):
-                return x
-
-
-class TestCheckedDecorator:
-    def test_zero_cost_by_default(self):
-        calls = []
-
-        @checked(x="(n, 3) f8", out="(n,) f8")
-        def f(x):
-            calls.append(1)
-            return np.zeros(2)               # wrong n — never checked
-
-        assert not checks_enabled()
-        f(np.zeros((5, 3)))                  # silent: checks are off
-        assert calls == [1]
-
-    def test_symbol_binding_across_args(self):
-        @checked(a="(n, 3) f8", b="(n,) f8", out="(3*n,) f8")
-        def f(a, b):
-            return np.zeros(3 * a.shape[0])
-
-        with debug_checks():
-            f(np.zeros((4, 3)), np.zeros(4))
-            with pytest.raises(ContractViolation, match="b has shape"):
-                f(np.zeros((4, 3)), np.zeros(5))
-
-    def test_none_arguments_are_skipped(self):
-        @checked(a="(n,) f8")
-        def f(a=None):
-            return 0.0
-
-        with debug_checks():
-            f(None)
-
-    def test_scoped_toggle_restores(self):
-        assert not checks_enabled()
-        with debug_checks():
-            assert checks_enabled()
-            with debug_checks(False):
-                assert not checks_enabled()
-            assert checks_enabled()
-        assert not checks_enabled()
-
-
-class TestSeamContracts:
-    """Each ``@checked`` seam raises on a violating call when debug
-    checks are on (and is silent when they are off)."""
-
-    def test_stokes_slp_apply(self):
-        from repro.kernels import stokes_slp_apply
-        src = np.zeros((5, 3))
-        bad_density = np.zeros((5, 2))
-        stokes_slp_apply(src, bad_density[:, [0, 0, 1]], src)  # fine, off
-        with debug_checks():
-            with pytest.raises(ContractViolation, match="weighted_density"):
-                stokes_slp_apply(src, bad_density, src)
-
-    def test_stacked_lu_solve(self):
-        from repro.linalg import StackedLUFactorization
-        lu = StackedLUFactorization(np.stack([np.eye(3)] * 2))
-        with debug_checks():
-            assert lu.solve(np.ones((2, 3))).shape == (2, 3)
-            with pytest.raises(ContractViolation, match="rhs"):
-                lu.solve(np.ones((2, 3, 4)))
-
-    def test_sht_forward(self):
-        from repro.sph import get_transform
-        T = get_transform(4)
-        with debug_checks():
-            c = T.forward(np.ones((T.grid.nlat, T.grid.nphi)))
-            assert c.dtype == np.dtype("c16")
-            with pytest.raises(ContractViolation, match="f"):
-                T.forward(np.ones(7))
-
-    def test_surface_operator_matrices(self):
-        s = biconcave_rbc(1.0, order=4)
-        n = s.n_points
-        with debug_checks():
-            assert s.surface_gradient_matrix().shape == (3 * n, n)
-            assert s.surface_divergence_matrix().shape == (n, 3 * n)
-            assert s.laplace_beltrami_matrix().shape == (n, n)
-            # Break the cached table: the out contract must catch it.
-            s._dense_ops = {"grad": np.zeros((3, 3)),
-                            "div": np.zeros((3, 3)),
-                            "lb": np.zeros((3, 3))}
-            with pytest.raises(ContractViolation, match="return value"):
-                s.surface_gradient_matrix()
-
-    def test_config_wires_debug_checks(self):
-        from repro.analysis.contracts import set_debug_checks
-        from repro.core.simulation import Simulation
-        cfg = ReproConfig(forces=[], with_collisions=False,
-                          numerics=NumericsOptions(debug_checks=True))
-        assert not checks_enabled()
-        try:
-            Simulation([biconcave_rbc(1.0, order=4)], config=cfg)
-            assert checks_enabled()
-        finally:
-            set_debug_checks(False)
+from repro.analysis import freeze, register_shared, tables_frozen
 
 
 class TestFrozenTables:

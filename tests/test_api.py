@@ -6,6 +6,7 @@ import importlib.util
 import numpy as np
 import pytest
 
+import repro.analysis
 import repro.runtime
 from repro import NumericsOptions, ReproConfig, Scenario, presets
 from repro.core import DirectBackend, Simulation, make_backend
@@ -132,7 +133,7 @@ class TestReproConfig:
             "patch_quad", "check_order", "check_r_factor", "upsample_eta",
             "gmres_max_iter", "gmres_tol", "ncp_max_lcp",
             "selfop_refresh_interval", "executor", "workers",
-            "farfield_dtype", "debug_checks"]
+            "farfield_dtype"]
         assert sorted(BACKENDS) == ["direct", "fmm"]
         assert sorted(EXECUTORS) == ["checked", "process", "serial", "thread"]
         assert sorted(presets.ALL) == ["relaxation", "sedimentation", "shear",
@@ -143,14 +144,22 @@ class TestReproConfig:
             "make_executor", "register_executor", "resolve_workers",
             "SpatialHash", "morton_keys_3d", "morton_decode_3d"]
         assert importlib.util.find_spec(".scaling", package="repro") is None
+        assert repro.analysis.__all__ == [
+            "DeterminismError", "freeze", "freeze_attributes",
+            "iter_shared_arrays", "register_shared", "tables_frozen",
+            "InjectedFault", "inject_nan", "force_nonconvergence",
+            "force_unresolved_contact", "raise_in_task"]
 
     def test_retired_numerics_keys_rejected_by_name(self):
         """A config written before the route consolidation serialized
-        seven more numerics fields; loading one must fail as data, naming
-        the keys — never a bare TypeError, never a silent drop."""
+        seven more numerics fields, and one written before the array
+        contracts went carries ``debug_checks``; loading one must fail as
+        data, naming the keys — never a bare TypeError, never a silent
+        drop."""
         retired = {"sph_order": 8, "patch_order": 8, "viscosity": 1.0,
                    "selfop_assembly": "fused", "batched_lu": True,
-                   "direct_tension": False, "direct_implicit": True}
+                   "direct_tension": False, "direct_implicit": True,
+                   "debug_checks": True}
         d = ReproConfig().to_dict()
         d["numerics"].update(retired)
         with pytest.raises(ValueError, match="invalid ReproConfig") as exc:

@@ -385,3 +385,36 @@ class TestSharedFinePass:
                     stale = SpectralSurface(X, cell.order).upsampled(10)
                     assert not np.array_equal(ev._fine.X, stale.X)
         assert moved_steps >= 1
+
+    def test_projected_cells_get_a_full_selfop_refresh(self):
+        """Under an amortized self-op (interval 4) a cell the contact
+        projection moved is reassembled in full, not corrected from its
+        pre-contact operator, and its factorized solvers are dropped."""
+        from repro.config import NumericsOptions, ReproConfig
+        from repro.core import Simulation
+        from repro.physics.terms import BackgroundFlow, Bending
+
+        def squeeze(pts):
+            u = np.zeros_like(pts)
+            u[:, 0] = -1.5 * np.sign(pts[:, 0])
+            return u
+
+        sim = Simulation(
+            [sphere(0.8, center=(-1.0, 0, 0), order=6),
+             sphere(0.8, center=(1.0, 0, 0), order=6)],
+            config=ReproConfig(
+                dt=0.1, forces=[Bending(), BackgroundFlow(squeeze)],
+                numerics=NumericsOptions(selfop_refresh_interval=4)))
+        stepper = sim.stepper
+        for _ in range(3):
+            rep = sim.step()
+            if rep.ncp.contact_active:
+                break
+        assert rep.ncp.contact_active
+        for i, cell in enumerate(sim.cells):
+            fresh = SingularSelfInteraction(
+                SpectralSurface(cell.X, cell.order, cell.aliasing_factor))
+            assert np.abs(stepper._self_ops[i].matrix
+                          - fresh.matrix).max() <= 1e-12
+            assert stepper._tension_solvers[i] is None
+            assert stepper._impl_lu[i] is None

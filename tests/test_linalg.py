@@ -12,6 +12,7 @@ class TestStackedLU:
         stacked = StackedLUFactorization(A)
         per = [LUFactorization(A[i]) for i in range(4)]
         x = stacked.solve(b)
+        assert x.shape == (4, 30) and x.dtype == np.float64
         for i in range(4):
             # same getrf/getrs kernels on the same matrices: exact, not
             # merely close

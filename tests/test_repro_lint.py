@@ -303,131 +303,6 @@ def guarded(stepper, report, snapshot, sentinel):
         assert rules_of(src) == []
 
 
-class TestContractsPass:
-    def test_conflicting_literal_dtype_fires(self):
-        src = """
-import numpy as np
-from repro.analysis.contracts import checked
-
-@checked(x="(n, 3) f8", out="(n,) f8")
-def f(x):
-    out = np.empty(x.shape[0], dtype=np.int32)
-    return out
-"""
-        assert rules_of(src) == ["contract-dtype"]
-
-    def test_matching_and_variable_dtypes_pass(self):
-        src = """
-import numpy as np
-from repro.analysis.contracts import checked
-
-@checked(x="(n, 3) f8", out="(n,) f8")
-def f(x, work=np.float64):
-    out = np.empty(x.shape[0], dtype=np.float64)
-    tmp = out.astype(work)                   # variable dtype: fine
-    return out
-"""
-        assert rules_of(src) == []
-
-
-class TestPicklablePass:
-    def test_nested_process_task_class_fires(self):
-        src = """
-from repro.runtime.executor import ProcessTask
-
-def build():
-    class Shard(ProcessTask):
-        def __call__(self, item):
-            return item
-    return Shard()
-"""
-        assert rules_of(src) == ["picklable-task"]
-        assert lines_of(src, "picklable-task") == [5]
-
-    def test_module_level_process_task_passes(self):
-        src = """
-from repro.runtime.executor import ProcessTask
-
-class Shard(ProcessTask):
-    def __call__(self, item):
-        return item.run()
-
-RUN = Shard()
-"""
-        assert rules_of(src) == []
-
-    def test_transitive_subclass_tracked(self):
-        src = """
-from repro.runtime.executor import ProcessTask
-
-class Base(ProcessTask):
-    pass
-
-def build():
-    class Shard(Base):
-        def __call__(self, item):
-            return item
-    return Shard()
-"""
-        assert rules_of(src) == ["picklable-task"]
-
-    def test_lambda_instance_state_fires(self):
-        src = """
-from repro.runtime.executor import ProcessTask
-
-class Shard(ProcessTask):
-    def __init__(self, scale):
-        self.fn = lambda x: x * scale
-"""
-        assert rules_of(src) == ["picklable-task"]
-
-    def test_lambda_on_process_map_fires(self):
-        src = """
-def fan_out(process_executor, items):
-    return process_executor.map(lambda x: x * 2, items)
-"""
-        assert rules_of(src) == ["picklable-task"]
-
-    def test_local_closure_on_process_map_fires(self):
-        src = """
-def fan_out(process_pool, items):
-    total = []
-
-    def task(x):
-        return x * 2
-
-    return process_pool.map(task, items)
-"""
-        assert rules_of(src) == ["picklable-task"]
-
-    def test_module_level_task_on_process_map_passes(self):
-        src = """
-def run_shard(shard):
-    return shard.run()
-
-def fan_out(process_executor, items):
-    return process_executor.map(run_shard, items)
-"""
-        assert rules_of(src) == []
-
-    def test_generic_executor_closures_not_flagged(self):
-        """Closures on a generic executor are legal — the process
-        executor runs non-ProcessTask callables inline by design."""
-        src = """
-def fan_out(executor, items):
-    return executor.map(lambda x: x * 2, items)
-"""
-        assert rules_of(src) == []
-
-    def test_suppression_with_reason(self):
-        src = """
-def fan_out(process_executor, items):
-    # repro-lint: disable=picklable-task — test fixture maps inline only
-    return process_executor.map(lambda x: x * 2, items)
-"""
-        assert rules_of(src) == []
-
-
 class TestSuppressions:
     SRC = """
 def f(x):
@@ -459,6 +334,16 @@ def f(x):
             "assert x",
             "assert x  # repro-lint: disable=bare-except — wrong rule")
         assert rules_of(src) == ["no-assert"]
+
+    def test_unknown_rule_is_a_bad_suppression(self):
+        src = self.SRC.replace(
+            "assert x",
+            "assert x  # repro-lint: disable=no-assert,no-asert — typo")
+        assert rules_of(src) == ["bad-suppression", "no-assert"]
+        src = self.SRC.replace(
+            "assert x",
+            "assert x  # repro-lint: disable=picklable-task — removed rule")
+        assert rules_of(src) == ["bad-suppression", "no-assert"]
 
 
 class TestGlobalMutablePass:
@@ -526,5 +411,8 @@ class TestAcceptance:
     def test_cli_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("shared-write", "frozen-table", "contract-dtype"):
-            assert rule in out
+        assert out.split() == [
+            "shared-write", "frozen-table", "no-assert", "bare-except",
+            "mutable-default", "float32-cast", "sentinel-suppress",
+            "global-mutable", "bad-suppression"]
+        assert "contract-dtype" not in out and "picklable-task" not in out

@@ -135,6 +135,22 @@ class TestSnapshotRollback:
         sim.stepper.step(sim.t, sim.config.dt)
         assert _states_equal(_state(sim), stepped)
 
+    def test_rollback_restores_the_amortized_refresh_cycle(self):
+        """Under ``selfop_refresh_interval > 1`` the refresh phase is
+        state too: after a rollback the re-stepped run reaches its next
+        full reassembly on the same step as the original run."""
+        sim = _scene(numerics=NumericsOptions(selfop_refresh_interval=4))
+        for _ in range(2):
+            sim.step()
+        snap = capture_state(sim.stepper, sim.t)
+        runs = []
+        for _ in range(2):
+            restore_state(sim.stepper, snap)
+            for _ in range(3):
+                sim.stepper.step(sim.t, sim.config.dt)
+            runs.append(_state(sim))
+        assert _states_equal(*runs)
+
     def test_snapshot_survives_multiple_restores(self):
         sim = _scene(ncell=1)
         snap = capture_state(sim.stepper, sim.t)

@@ -107,6 +107,9 @@ class TestTransform:
         expect = np.zeros_like(c)
         expect[3, p - 2] = 1.0
         assert np.abs(c - expect).max() < 1e-12
+        assert T.forward(Y.real).dtype == np.complex128
+        with pytest.raises(ValueError):
+            T.forward(np.ones(7))
 
     def test_evaluate_matches_grid(self):
         p = 6

@@ -71,6 +71,10 @@ class TestOperators:
         s = sphere(1.0, order=6)
         grad = s.surface_gradient(np.ones((s.grid.nlat, s.grid.nphi)))
         assert np.abs(grad).max() < 1e-10
+        n = s.n_points
+        assert s.surface_gradient_matrix().shape == (3 * n, n)
+        assert s.surface_divergence_matrix().shape == (n, 3 * n)
+        assert s.laplace_beltrami_matrix().shape == (n, n)
 
 
 class TestShapes:

@@ -1,4 +1,4 @@
-"""Static analysis for the repro determinism contract.
+"""Determinism, frozen-table and hygiene linter for the repro library.
 
 ``python -m repro_lint src/`` runs three passes over the library:
 
@@ -13,14 +13,7 @@
    (``freeze``/``freeze_attributes``); plus no ``assert`` statements in
    library code, no bare ``except:``, no mutable default arguments, and
    no unsanctioned literal float32 casts.
-3. **Array contracts** (:mod:`.contracts_lint`) — cross-checks the
-   dtypes declared in ``@checked(...)`` decorations against literal
-   ``astype``/constructor dtypes in the function body.
-4. **Process picklability** (:mod:`.picklable`) — ``ProcessTask``
-   subclasses must be module-level with picklable instance state, and
-   callables mapped on the process executor must not be lambdas or
-   local closures (workers unpickle tasks by module path).
-5. **Module-level mutable state** (:mod:`.globals_lint`) — a
+3. **Module-level mutable state** (:mod:`.globals_lint`) — a
    module-level mutable container is process-global state shared by
    every simulation in the process (the ``warn_once``-registry bug
    class); it must become per-instance state, an immutable table, or a
@@ -30,36 +23,19 @@ Suppress a finding with a trailing (or directly preceding) comment::
 
     x = build()  # repro-lint: disable=<rule> — <reason>
 
-The reason is mandatory; a suppression without one is itself reported
-(rule ``bad-suppression``). The package is stdlib-only.
+The reason is mandatory and the rule must be one of :data:`ALL_RULES`;
+a suppression that breaks either is itself reported (rule
+``bad-suppression``). The package is stdlib-only.
 """
 from __future__ import annotations
 
-from .base import Violation, collect_files, parse_file
+from .base import ALL_RULES, Violation, collect_files, parse_file
 from .suppressions import Suppressions
 from .determinism import check_determinism
 from .hygiene import check_hygiene
-from .contracts_lint import check_contracts
 from .globals_lint import check_globals
-from .picklable import check_picklable
 
-#: every rule id a suppression comment may name.
-ALL_RULES = (
-    "shared-write",
-    "frozen-table",
-    "no-assert",
-    "bare-except",
-    "mutable-default",
-    "float32-cast",
-    "sentinel-suppress",
-    "contract-dtype",
-    "picklable-task",
-    "global-mutable",
-    "bad-suppression",
-)
-
-_PASSES = (check_determinism, check_hygiene, check_contracts,
-           check_picklable, check_globals)
+_PASSES = (check_determinism, check_hygiene, check_globals)
 
 
 def lint_source(path: str, source: str) -> list[Violation]:

@@ -10,7 +10,7 @@ from . import ALL_RULES, lint_paths
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro_lint",
-        description="Determinism, frozen-table and contract linter for "
+        description="Determinism, frozen-table and hygiene linter for "
                     "the repro library.")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")

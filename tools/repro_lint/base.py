@@ -1,10 +1,24 @@
-"""Shared plumbing of the lint passes: findings, file walking, AST helpers."""
+"""Shared plumbing of the lint passes: rule ids, findings, file walking,
+AST helpers."""
 from __future__ import annotations
 
 import ast
 import dataclasses
 import os
 from typing import Iterator, Optional
+
+#: every rule id a suppression comment may name.
+ALL_RULES = (
+    "shared-write",
+    "frozen-table",
+    "no-assert",
+    "bare-except",
+    "mutable-default",
+    "float32-cast",
+    "sentinel-suppress",
+    "global-mutable",
+    "bad-suppression",
+)
 
 
 @dataclasses.dataclass(frozen=True)

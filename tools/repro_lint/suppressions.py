@@ -1,15 +1,16 @@
 """``# repro-lint: disable=<rule> — <reason>`` comment handling.
 
 A suppression comment covers the findings of its own line; a standalone
-comment line covers the next non-blank line. The reason is mandatory —
-a suppression without one does not apply and is itself reported as
-``bad-suppression``.
+comment line covers the next non-blank line. The reason is mandatory and
+every rule named must be one of ``ALL_RULES`` — a suppression without a
+reason, or naming an unknown rule, does not apply and is itself
+reported as ``bad-suppression``.
 """
 from __future__ import annotations
 
 import re
 
-from .base import Violation
+from .base import ALL_RULES, Violation
 
 #: rule list, then a separator (em dash, ``--`` or ``:``) and the reason.
 _SUPP_RE = re.compile(
@@ -37,6 +38,12 @@ class Suppressions:
                     path, i, "bad-suppression",
                     "suppression needs 'disable=<rule> — <reason>' with a "
                     "non-empty rule list and reason"))
+                continue
+            unknown = sorted(rules.difference(ALL_RULES))
+            if unknown:
+                self.violations.append(Violation(
+                    path, i, "bad-suppression",
+                    f"suppression names unknown rule(s) {unknown}"))
                 continue
             target = i
             if text.lstrip().startswith("#"):
