@@ -52,10 +52,7 @@ def main() -> None:
     # Every per-cell stage (operator refresh, factorize-and-solve,
     # per-source interaction sums) is an independent task mapped over a
     # pluggable executor, bit-identical to the serial default (results
-    # are gathered by cell index). cfg.numerics.farfield_dtype =
-    # "float32" additionally runs the far-field smooth quadrature in
-    # single precision (~1e-6 relative far-field error; every
-    # near/singular path stays float64).
+    # are gathered by cell index).
     #
     # === Scaling out ====================================================
     # In one scene, use cfg.numerics.executor = "thread" with
@@ -106,8 +103,7 @@ def main() -> None:
     n = cfg.numerics
     print(f"amortization   : "
           f"selfop_refresh_interval={n.selfop_refresh_interval}")
-    print(f"execution      : executor={n.executor!r} workers={n.workers} "
-          f"farfield_dtype={n.farfield_dtype!r}")
+    print(f"execution      : executor={n.executor!r} workers={n.workers}")
 
     kappa = cfg.bending_modulus
     print("\n=== bending relaxation ===")

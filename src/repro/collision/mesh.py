@@ -62,9 +62,6 @@ class CollisionMesh:
         e = np.linalg.norm(v[t[:, 1]] - v[t[:, 0]], axis=1)
         return float(np.median(e))
 
-    def with_vertices(self, vertices: np.ndarray) -> "CollisionMesh":
-        return dataclasses.replace(self, vertices=np.asarray(vertices, float))
-
 
 @lru_cache(maxsize=16)
 def _grid_triangulation(nlat: int, nphi: int) -> np.ndarray:

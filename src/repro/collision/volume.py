@@ -37,14 +37,6 @@ class ContactComponent:
     volume: float
     vertex_forces: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-    def gradient_on(self, object_id: int, n_vertices: int) -> np.ndarray:
-        """Dense dV/dX for one object, shape (n_vertices, 3)."""
-        out = np.zeros((n_vertices, 3))
-        if object_id in self.vertex_forces:
-            idx, dirs, w = self.vertex_forces[object_id]
-            np.add.at(out, idx, dirs * w[:, None])
-        return out
-
 
 def _connected_groups(vertex_ids: np.ndarray, mesh: CollisionMesh) -> list[np.ndarray]:
     """Group penetrating vertices into mesh-connected components."""

@@ -117,18 +117,6 @@ class NumericsOptions:
     #: :class:`~repro.sweep.SweepRunner`, where two processes ran 14.5
     #: vs 8.7 jobs/s.
     workers: "int | str" = 1
-    #: Precision of the *far-field* smooth quadrature: ``"float32"`` runs
-    #: the far block of :func:`repro.kernels.stokes_slp_apply` and the
-    #: FMM's far translation/evaluation GEMMs (M2L, M2P, L2P) in single
-    #: precision — roughly halving their memory traffic — while every
-    #: near-singular, singular and on-surface path stays float64. Adds
-    #: ~1e-6 relative error to the far field only; ``"float64"`` (the
-    #: default) is the exact path.
-    farfield_dtype: str = "float64"
-
-    def fine_subpatches(self) -> int:
-        """Number of subpatches in the fine discretization of one patch."""
-        return 4 ** self.upsample_eta
 
 
 @dataclasses.dataclass
@@ -314,9 +302,6 @@ class ReproConfig:
                     or isinstance(n.workers, bool) or n.workers < 1):
                 errors.append("workers must be >= 1 or 'auto', got "
                               f"{n.workers!r}")
-            if n.farfield_dtype not in ("float32", "float64"):
-                errors.append("farfield_dtype must be 'float32' or "
-                              f"'float64', got {n.farfield_dtype!r}")
         r = self.resilience
         if not isinstance(r, ResilienceOptions):
             errors.append(f"resilience must be ResilienceOptions, got {r!r}")

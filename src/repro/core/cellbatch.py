@@ -109,10 +109,9 @@ class CellBatch:
         for idx in groups.values():
             surfs = [self.cells[i] for i in idx]
             op0 = ops[idx[0]]
-            M, X_rot, w_rot = assemble_circulant(op0.tables, surfs,
-                                                 op0.viscosity)
+            M, _, _ = assemble_circulant(op0.tables, surfs, op0.viscosity)
             for slot, i in enumerate(idx):
-                ops[i].install_full(M[slot], X_rot[slot], w_rot[slot])
+                ops[i].install_full(M[slot])
 
     # -- stacked direct-solve factorization --------------------------------
     def factorize_lu(self, matrices: Sequence[Optional[np.ndarray]]

@@ -51,7 +51,6 @@ class InteractionBackend:
     def __init__(self) -> None:
         self.cells: List[SpectralSurface] = []
         self.viscosity = 1.0
-        self.farfield_dtype = "float64"
         self.evaluators: List[CellNearEvaluator] = []
         #: executor the per-source tasks are mapped over (the stepper
         #: installs its own, so backend and stages share one policy).
@@ -61,16 +60,14 @@ class InteractionBackend:
         self._fw: List[np.ndarray] = []
         self._forces: List[np.ndarray] = []
 
-    def bind(self, cells: Sequence[SpectralSurface], viscosity: float,
-             farfield_dtype: str = "float64") -> "InteractionBackend":
+    def bind(self, cells: Sequence[SpectralSurface],
+             viscosity: float) -> "InteractionBackend":
         # Copy: a caller mutating its own list must not desynchronize
         # cells from their evaluators.
         self.cells = list(cells)
         self.viscosity = float(viscosity)
-        self.farfield_dtype = str(farfield_dtype)
-        self.evaluators = [CellNearEvaluator(
-            c, viscosity=self.viscosity,
-            farfield_dtype=self.farfield_dtype) for c in self.cells]
+        self.evaluators = [CellNearEvaluator(c, viscosity=self.viscosity)
+                           for c in self.cells]
         self._bound = True
         self._prepared = False
         return self
@@ -101,10 +98,6 @@ class InteractionBackend:
             raise RuntimeError(
                 "backend has no prepared step state; call prepare(forces) "
                 "(again after any refresh) before evaluating")
-
-    def refresh_all(self) -> None:
-        for i in range(len(self.evaluators)):
-            self.refresh(i)
 
     def prepare(self, forces: Sequence[np.ndarray]) -> None:
         """Cache this step's force densities for reuse across targets.
@@ -312,8 +305,7 @@ class FMMBackend(InteractionBackend):
             src, den, "stokes_slp", self.viscosity,
             max_leaf=self.max_leaf,
             equiv_points_per_edge=self.equiv_points_per_edge,
-            mac=self.mac, farfield_dtype=self.farfield_dtype,
-            executor=self.executor)
+            mac=self.mac, executor=self.executor)
 
     def _self_smooth(self, j: int, targets: np.ndarray) -> np.ndarray:
         """Exact float64 smooth sum of cell j's own fine sources."""

@@ -167,8 +167,7 @@ class TimeStepper:
         # another simulation still holds would corrupt that simulation,
         # so a mismatched pre-bound backend is an error, not a rebind.
         if not self.backend.bound:
-            self.backend.bind(self.cells, self.viscosity,
-                              farfield_dtype=self.options.farfield_dtype)
+            self.backend.bind(self.cells, self.viscosity)
         elif (self.backend.viscosity != self.viscosity
               or len(self.backend.cells) != len(self.cells)
               or any(a is not b for a, b in zip(self.backend.cells,
@@ -177,12 +176,6 @@ class TimeStepper:
                 "interaction backend is already bound to a different "
                 "simulation's cells; create a fresh backend instance per "
                 "simulation")
-        elif self.backend.farfield_dtype != self.options.farfield_dtype:
-            raise ValueError(
-                f"interaction backend was bound with farfield_dtype="
-                f"{self.backend.farfield_dtype!r} but the numerics request "
-                f"{self.options.farfield_dtype!r}; bind with the matching "
-                f"dtype")
         # The backend's per-source loops run on the same executor as the
         # per-cell stages (one scheduling policy per simulation).
         self.backend.executor = self.executor
@@ -349,9 +342,8 @@ class TimeStepper:
                 f"interaction backend {self.backend.name!r} produced "
                 f"non-finite velocities; degrading to {nxt!r} for the "
                 "rest of the run")
-            self.backend = make_backend(nxt).bind(
-                self.cells, self.viscosity,
-                farfield_dtype=self.options.farfield_dtype)
+            self.backend = make_backend(nxt).bind(self.cells,
+                                                  self.viscosity)
             self.backend.executor = self.executor
             self.backend_degraded_to = nxt
             with self.timers.scope("Other-FMM"):

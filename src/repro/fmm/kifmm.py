@@ -164,8 +164,7 @@ def _surface_permutation(e: int, r9: Tuple[int, ...]
 
 @lru_cache(maxsize=64)
 def _m2l_matrix(kernel: KernelName, e: int, viscosity: float,
-                d_star: Tuple[int, int, int],
-                dtype_str: str = "float64") -> np.ndarray:
+                d_star: Tuple[int, int, int]) -> np.ndarray:
     """Combined M2L operator for a canonical offset: source equivalent
     density (small surface around the box at ``2 * d_star``) directly to
     the target's *downward equivalent density*, i.e. the downward fit is
@@ -178,8 +177,7 @@ def _m2l_matrix(kernel: KernelName, e: int, viscosity: float,
     M = _kernel_matrix(kernel, src, trg, viscosity)
     fit_down = _fit_operator(kernel, e, viscosity,
                              _CHECK_RADIUS, _EQUIV_RADIUS)
-    work = np.dtype(dtype_str)
-    return freeze((fit_down @ M).astype(work, copy=False))
+    return freeze(fit_down @ M)
 
 
 def _rotate_in(e: int, r9: Tuple[int, ...], Q: np.ndarray) -> np.ndarray:
@@ -207,8 +205,7 @@ def _rotate_out(e: int, r9: Tuple[int, ...], V: np.ndarray) -> np.ndarray:
 
 
 def _apply_m2l(kernel: KernelName, e: int, viscosity: float,
-               off: Tuple[int, int, int], Q: np.ndarray,
-               dtype_str: str = "float64") -> np.ndarray:
+               off: Tuple[int, int, int], Q: np.ndarray) -> np.ndarray:
     """Batched M2L: upward densities ``Q`` (k, m, ncomp) of k source
     boxes at integer offset ``off`` from their targets -> the targets'
     downward-density contributions (same shape).
@@ -221,10 +218,9 @@ def _apply_m2l(kernel: KernelName, e: int, viscosity: float,
     """
     k, m, ncomp = Q.shape
     d_star, r9 = _offset_symmetry(off)
-    M = _m2l_matrix(kernel, e, viscosity, d_star, dtype_str)
-    Qw = _rotate_in(e, r9, Q).reshape(k, m * ncomp).astype(M.dtype,
-                                                           copy=False)
-    V = (Qw @ M.T).astype(np.float64, copy=False).reshape(k, m, ncomp)
+    M = _m2l_matrix(kernel, e, viscosity, d_star)
+    Qw = _rotate_in(e, r9, Q).reshape(k, m * ncomp)
+    V = (Qw @ M.T).reshape(k, m, ncomp)
     return _rotate_out(e, r9, V)
 
 
@@ -267,10 +263,7 @@ class GlobalKIFMM:
     ``equiv_points_per_edge`` is the resolution of the equivalent surface
     (the accuracy knob); ``mac`` only steers the fallback descent for
     targets outside every leaf (a box is used in far form when
-    ``dist(target, box center) >= mac * box_half_width``), and
-    ``farfield_dtype="float32"`` runs the far translation/evaluation
-    GEMMs (M2L, M2P, L2P) in single precision while every direct kernel
-    (P2M check values, P2L, P2P) stays float64.
+    ``dist(target, box center) >= mac * box_half_width``).
 
     ``stats`` counts source-target pair work per route (``p2p``,
     ``m2p``, ``m2l``, ``l2p``, ``p2l``); concurrent evaluations fold
@@ -281,14 +274,10 @@ class GlobalKIFMM:
     def __init__(self, sources: np.ndarray, weighted_density: np.ndarray,
                  kernel: KernelName = "stokes_slp", viscosity: float = 1.0,
                  max_leaf: int = 128, equiv_points_per_edge: int = 5,
-                 mac: float = 3.0, farfield_dtype: str = "float64",
-                 executor: Optional[Executor] = None):
+                 mac: float = 3.0, executor: Optional[Executor] = None):
         self.kernel: KernelName = kernel
         self.viscosity = float(viscosity)
         self.mac = float(mac)
-        self.farfield_dtype = str(farfield_dtype)
-        self._far_dtype = (None if self.farfield_dtype == "float64"
-                           else self.farfield_dtype)
         self.executor = executor if executor is not None else SerialExecutor()
         self.sources = np.atleast_2d(np.asarray(sources, float))
         den = np.asarray(weighted_density, float)
@@ -314,10 +303,9 @@ class GlobalKIFMM:
 
     # -- shared small helpers -------------------------------------------------
     def _box_eval(self, src: np.ndarray, den: np.ndarray,
-                  trg: np.ndarray, dtype=None) -> np.ndarray:
+                  trg: np.ndarray) -> np.ndarray:
         if self.kernel == "stokes_slp":
-            return stokes_slp_apply(src, den, trg, self.viscosity,
-                                    dtype=dtype)
+            return stokes_slp_apply(src, den, trg, self.viscosity)
         return laplace_slp_apply(src, den.ravel(), trg)[:, None]
 
     def _disjoint_eval(self, src: np.ndarray, den: np.ndarray,
@@ -357,9 +345,6 @@ class GlobalKIFMM:
     def _down_equiv_points(self, nid: int) -> np.ndarray:
         node = self.tree.nodes[nid]
         return node.center + (_CHECK_RADIUS * node.half) * self._surf
-
-    def _box_half(self, level: int) -> float:
-        return self.tree.nodes[0].half * 0.5 ** level
 
     def _octant_ids(self, ids: np.ndarray) -> np.ndarray:
         anchors = self.tree.anchors[ids]
@@ -426,15 +411,13 @@ class GlobalKIFMM:
 
         def m2l(item) -> List[Tuple[np.ndarray, np.ndarray]]:
             d_star, members = item
-            M = _m2l_matrix(self.kernel, self.e, self.viscosity, d_star,
-                            self.farfield_dtype)
+            M = _m2l_matrix(self.kernel, self.e, self.viscosity, d_star)
             rots = [_offset_symmetry(off)[1] for off, _, _ in members]
             blocks = [_rotate_in(self.e, r9, self.up[src])
                       for r9, (_, _, src) in zip(rots, members)]
             sizes = [b.shape[0] for b in blocks]
-            Qw = np.concatenate(blocks).reshape(-1, m * nc).astype(
-                M.dtype, copy=False)
-            V = (Qw @ M.T).astype(np.float64, copy=False).reshape(-1, m, nc)
+            Qw = np.concatenate(blocks).reshape(-1, m * nc)
+            V = (Qw @ M.T).reshape(-1, m, nc)
             out = []
             pos = 0
             for (off, tgt, _), r9, k in zip(members, rots, sizes):
@@ -497,7 +480,7 @@ class GlobalKIFMM:
             trg = targets[tidx]
             local = {"p2p": 0, "m2p": 0, "l2p": tidx.size * m}
             vals = self._box_eval(self._down_equiv_points(b), self.down[b],
-                                  trg, dtype=self._far_dtype)
+                                  trg)
             if self.lists.U[b]:
                 idx = np.concatenate([tree.nodes[u].indices
                                       for u in self.lists.U[b]])
@@ -508,7 +491,7 @@ class GlobalKIFMM:
                 pts = np.concatenate([self._equiv_points(w)
                                       for w in self.lists.W[b]])
                 den = self.up[self.lists.W[b]].reshape(-1, self.ncomp)
-                vals += self._box_eval(pts, den, trg, dtype=self._far_dtype)
+                vals += self._box_eval(pts, den, trg)
                 local["m2p"] = tidx.size * pts.shape[0]
             return tidx, vals, local
 
@@ -538,8 +521,7 @@ class GlobalKIFMM:
         far_idx, near_idx = tidx[far], tidx[~far]
         if far_idx.size:
             out[far_idx] += self._box_eval(self._equiv_points(nid),
-                                           self.up[nid], targets[far_idx],
-                                           dtype=self._far_dtype)
+                                           self.up[nid], targets[far_idx])
             stats["m2p"] += far_idx.size * self._surf.shape[0]
         if near_idx.size:
             if node.is_leaf:

@@ -60,11 +60,12 @@ def stokes_slp_apply(src: np.ndarray, weighted_density: np.ndarray,
     float64 difference formula, which also restores the exact
     zero-distance exclusion.
 
-    ``dtype="float32"`` runs the bulk GEMMs in single precision — the
-    far-field mode of ``NumericsOptions.farfield_dtype`` — with per-chunk
-    results accumulated in float64 and the close-pair patch still exact;
-    relative error vs the default float64 path is ~1e-6. ``dtype=None``
-    (or ``"float64"``) is the bit-exact double-precision path.
+    ``dtype="float32"`` runs the bulk GEMMs in single precision, with
+    per-chunk results accumulated in float64 and the close-pair patch
+    still exact (relative error ~1e-6). No solver path uses it: it
+    survives only for the ``kernels.slp_probe_ms.f32`` row of
+    ``bench/probes.py``. ``dtype=None`` (or ``"float64"``) is the
+    bit-exact double-precision path every caller in the library takes.
     """
     src = np.asarray(src, float).reshape(-1, 3)
     trg = np.asarray(trg, float).reshape(-1, 3)

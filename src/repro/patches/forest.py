@@ -106,10 +106,6 @@ class QuadForest:
         self._sort()
         return count
 
-    def refine_uniform(self, times: int = 1) -> None:
-        for _ in range(times):
-            self.refine()
-
     def coarsen(self, marker: Optional[Callable[[PatchNode], bool]] = None) -> int:
         """Coarsen families of 4 sibling leaves where all 4 are marked.
 

@@ -153,16 +153,6 @@ class PatchSurface:
         d = self.coarse()
         return float(np.einsum("nk,nk,n->", d.points, d.normals, d.weights)) / 3.0
 
-    def bounding_boxes(self, pad_factor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Per-patch AABBs inflated by ``pad_factor * L`` (the near-zone
-        boxes B_{P, eps} of Sec. 3.3). Returns (lo, hi) arrays (n_patches, 3)."""
-        L = self.patch_sizes()
-        lo = np.empty((self.n_patches, 3))
-        hi = np.empty((self.n_patches, 3))
-        for i, p in enumerate(self.patches):
-            lo[i], hi[i] = p.bounding_box(pad=pad_factor * L[i])
-        return lo, hi
-
     def collision_points(self, m: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """Equispaced collision samples for every patch.
 

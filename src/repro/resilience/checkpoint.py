@@ -193,9 +193,6 @@ def load_checkpoint(path: str, rng=None):
             op._ref_area = info["ref_area"]
             op._since_full = info["since_full"]
             op._pending_install = False
-            # the saved rotated-geometry caches are not serialized;
-            # only apply_reference (a diagnostic) consults them
-            op._rotated_geometry_stale = True
             if info["since_full"] > 1:
                 # mid-refresh-cycle: regenerate the corrected operator
                 # by the same deterministic correction the live run
@@ -226,9 +223,8 @@ def load_checkpoint(path: str, rng=None):
         degraded = manifest.get("backend_degraded_to")
         if degraded:
             from ..core.interactions import make_backend
-            st.backend = make_backend(degraded).bind(
-                st.cells, st.viscosity,
-                farfield_dtype=st.options.farfield_dtype)
+            st.backend = make_backend(degraded).bind(st.cells,
+                                                     st.viscosity)
             st.backend.executor = st.executor
             st.backend_degraded_to = degraded
         if rng is not None and "rng_state" in manifest:

@@ -26,13 +26,12 @@ from typing import List, Optional
 
 #: the attributes of :class:`repro.vesicle.SingularSelfInteraction` that
 #: together determine its behavior (operator matrix, reference
-#: configuration of the geometric correction, refresh-cycle phase,
-#: cached rotated geometry). All array values are replaced — never
-#: mutated — by the refresh paths, so reference snapshots suffice.
+#: configuration of the geometric correction, refresh-cycle phase). All
+#: array values are replaced — never mutated — by the refresh paths, so
+#: reference snapshots suffice.
 SELFOP_ATTRS = (
     "_matrix", "_ref_matrix", "_ref_area", "_ref_points", "_ref_weights",
-    "_rotated_geometry_stale", "_pending_install", "_since_full",
-    "X_rot", "w_rot",
+    "_pending_install", "_since_full",
 )
 
 

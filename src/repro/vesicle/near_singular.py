@@ -170,21 +170,12 @@ class CellNearEvaluator:
         Order of the fine grid used for smooth quadrature (default 2p).
     check_order:
         Number of interpolation nodes (closest point + check points).
-    farfield_dtype:
-        ``"float32"`` evaluates the smooth *far* quadrature (the bulk
-        :func:`stokes_slp_apply` over the fine grid) in single
-        precision; the near scheme — singular on-surface values, check
-        points, interpolation — always stays float64.
     """
 
     def __init__(self, surface: SpectralSurface, viscosity: float = 1.0,
-                 upsample_order: Optional[int] = None, check_order: int = 6,
-                 farfield_dtype: str = "float64"):
+                 upsample_order: Optional[int] = None, check_order: int = 6):
         self.surface = surface
         self.viscosity = viscosity
-        self.farfield_dtype = str(farfield_dtype)
-        self._far_dtype = (None if self.farfield_dtype == "float64"
-                           else self.farfield_dtype)
         p = surface.order
         self.up_order = upsample_order or 2 * p
         self.check_order = check_order
@@ -428,7 +419,7 @@ class CellNearEvaluator:
         fw = (fine_weighted if fine_weighted is not None
               else self.weighted_fine_density(density))
         out = stokes_slp_apply(self._fine.points, fw.reshape(-1, 3), targets,
-                               self.viscosity, dtype=self._far_dtype)
+                               self.viscosity)
         near, seeds = self._near_scan(targets)
         if near.size:
             out[near] = self._near_values(density, fw, targets[near], seeds)
@@ -437,18 +428,18 @@ class CellNearEvaluator:
     def near_correction(self, density: np.ndarray, targets: np.ndarray,
                         fine_weighted: Optional[np.ndarray] = None
                         ) -> tuple[np.ndarray, np.ndarray]:
-        """Near-scheme delta against the float64 smooth quadrature.
+        """Near-scheme delta against the smooth quadrature.
 
         Returns ``(indices, delta)`` where ``indices`` selects the
         targets inside this cell's near zone and ``delta`` is the
-        near-scheme velocity minus the *exact double-precision* smooth
-        sum at those targets. A caller that already holds a smooth
-        all-sources velocity computed in float64 (the global FMM's
-        near-field P2P route) turns it into the near-singular-accurate
-        value by adding ``delta`` — the large singular contributions
-        cancel to roundoff because both sides evaluate them with the
-        same exact kernel, which is what makes a global source tree
-        viable despite the on-surface smooth sums it contains.
+        near-scheme velocity minus the exact smooth sum at those
+        targets. A caller that already holds a smooth all-sources
+        velocity (the global FMM's near-field P2P route) turns it into
+        the near-singular-accurate value by adding ``delta`` — the large
+        singular contributions cancel to roundoff because both sides
+        evaluate them with the same exact kernel, which is what makes a
+        global source tree viable despite the on-surface smooth sums it
+        contains.
         """
         targets = np.atleast_2d(np.asarray(targets, float))
         density = np.asarray(density, float).reshape(self.surface.grid.nlat,

@@ -471,10 +471,8 @@ class SingularSelfInteraction:
     def _assemble(self) -> None:
         """Full reassembly: the single-surface case of
         :func:`assemble_circulant`."""
-        M, X_rot, w_rot = assemble_circulant(self.tables, [self.surface],
-                                             self.viscosity)
-        self.X_rot = X_rot[0]
-        self.w_rot = w_rot[0]
+        M, _, _ = assemble_circulant(self.tables, [self.surface],
+                                     self.viscosity)
         self._finalize_full(M[0])
 
     def _finalize_full(self, matrix: np.ndarray) -> None:
@@ -489,21 +487,17 @@ class SingularSelfInteraction:
         self._ref_area = surf.area()
         self._ref_points = surf.points.copy()
         self._ref_weights = surf.quadrature_weights().ravel().copy()
-        self._rotated_geometry_stale = False
 
-    def install_full(self, matrix: np.ndarray, X_rot: np.ndarray,
-                     w_rot: np.ndarray) -> None:
+    def install_full(self, matrix: np.ndarray) -> None:
         """Install an externally assembled full operator.
 
         Used by :meth:`repro.core.cellbatch.CellBatch.assemble_selfops`,
         which runs :func:`assemble_circulant` stacked over a same-order
-        group of cells and scatters the slices here. The arrays must
+        group of cells and scatters the slices here. The matrix must
         describe this surface's *current* geometry; the next
         :meth:`refresh` that lands on a full reassembly consumes the
         installed state instead of assembling its own.
         """
-        self.X_rot = X_rot
-        self.w_rot = w_rot
         self._finalize_full(matrix)
         self._pending_install = True
 
@@ -565,9 +559,6 @@ class SingularSelfInteraction:
             # near-identity conjugation, keeping those motions' exact
             # closed-form correction (and the PR 3 trajectories).
             self._matrix = s * self._ref_matrix
-        # X_rot / w_rot still describe the reference geometry; only the
-        # corrected operator matrix is valid until the next full assembly.
-        self._rotated_geometry_stale = True
 
     def refresh(self, full: bool | None = None) -> bool:
         """Re-evaluate cached state after the surface has moved.
@@ -623,20 +614,16 @@ class SingularSelfInteraction:
         """Seed-path re-synthesis evaluation (reference for the assembled
         matrix; kept for verification and convergence tests).
 
-        Only valid right after a full assembly: it mixes the cached
-        rotated geometry with the surface's *current* position and
-        coefficients, so after an intermediate (first-order-corrected)
-        refresh it would compare against neither geometry.
+        Rotates the quadrature geometry of the surface's *current*
+        position on every call, so it is the exact operator at any
+        geometry — including after a first-order-corrected refresh,
+        where it differs from :meth:`apply` by the correction error.
         """
-        if getattr(self, "_rotated_geometry_stale", False):
-            raise RuntimeError(
-                "apply_reference needs the cached rotated geometry of a "
-                "full assembly, but only a first-order-corrected operator "
-                "is current (selfop_refresh_interval > 1); call "
-                "refresh(full=True) first")
         surf = self.surface
         tb = self.tables
         grid = surf.grid
+        _, X_rot, w_rot = assemble_circulant(tb, [surf], self.viscosity)
+        X_rot, w_rot = X_rot[0], w_rot[0]
         density = np.asarray(density, float).reshape(grid.nlat, grid.nphi, 3)
         cf = np.stack([surf.transform.forward(density[:, :, k]) for k in range(3)])
         packed = np.stack([pack_coeffs(cf[k]) for k in range(3)], axis=1)
@@ -647,8 +634,8 @@ class SingularSelfInteraction:
         for i in range(grid.nlat):
             f_rot = (tb.B_val[i] @ C).reshape(tb.nrot, grid.nphi, 3).real
             f_rot = f_rot.transpose(1, 0, 2)                    # (nphi, nrot, 3)
-            fw = f_rot * self.w_rot[i][:, :, None]
-            r = targets[i][:, None, :] - self.X_rot[i]          # (nphi, nrot, 3)
+            fw = f_rot * w_rot[i][:, :, None]
+            r = targets[i][:, None, :] - X_rot[i]               # (nphi, nrot, 3)
             r2 = np.einsum("tsk,tsk->ts", r, r)
             inv_r = 1.0 / np.sqrt(r2)
             rf = np.einsum("tsk,tsk->ts", r, fw)

@@ -132,8 +132,7 @@ class TestReproConfig:
         assert [f.name for f in dataclasses.fields(NumericsOptions)] == [
             "patch_quad", "check_order", "check_r_factor", "upsample_eta",
             "gmres_max_iter", "gmres_tol", "ncp_max_lcp",
-            "selfop_refresh_interval", "executor", "workers",
-            "farfield_dtype"]
+            "selfop_refresh_interval", "executor", "workers"]
         assert sorted(BACKENDS) == ["direct", "fmm"]
         assert sorted(EXECUTORS) == ["checked", "process", "serial", "thread"]
         assert sorted(presets.ALL) == ["relaxation", "sedimentation", "shear",
@@ -152,14 +151,15 @@ class TestReproConfig:
 
     def test_retired_numerics_keys_rejected_by_name(self):
         """A config written before the route consolidation serialized
-        seven more numerics fields, and one written before the array
-        contracts went carries ``debug_checks``; loading one must fail as
-        data, naming the keys — never a bare TypeError, never a silent
-        drop."""
+        seven more numerics fields, one written before the array
+        contracts went carries ``debug_checks`` and one written before
+        the single-precision far field went carries ``farfield_dtype``;
+        loading one must fail as data, naming the keys — never a bare
+        TypeError, never a silent drop."""
         retired = {"sph_order": 8, "patch_order": 8, "viscosity": 1.0,
                    "selfop_assembly": "fused", "batched_lu": True,
                    "direct_tension": False, "direct_implicit": True,
-                   "debug_checks": True}
+                   "debug_checks": True, "farfield_dtype": "float32"}
         d = ReproConfig().to_dict()
         d["numerics"].update(retired)
         with pytest.raises(ValueError, match="invalid ReproConfig") as exc:

@@ -263,19 +263,19 @@ class TestAmortizedSelfOpRefresh:
             SingularSelfInteraction(biconcave_rbc(1.0, order=4),
                                     refresh_interval=0)
 
-    def test_apply_reference_rejects_corrected_state(self):
-        """After an intermediate refresh the cached rotated geometry is
-        stale; the seed-path reference must refuse rather than mix it
-        with the current surface."""
+    def test_apply_reference_is_exact_after_corrected_refresh(self):
+        """After an intermediate refresh only the operator matrix is
+        corrected; the seed-path reference rotates the current geometry
+        itself, so it still equals a fresh assembly there."""
         s = biconcave_rbc(1.0, order=5)
-        op = SingularSelfInteraction(s, refresh_interval=5)
-        s.set_positions(s.X + 0.1)
-        op.refresh()                        # corrected, not reassembled
-        f = np.zeros((s.grid.nlat, s.grid.nphi, 3))
-        with pytest.raises(RuntimeError):
-            op.apply_reference(f)
-        op.refresh(full=True)
-        op.apply_reference(f)               # valid again
+        op = SingularSelfInteraction(s, refresh_interval=4)
+        s.set_positions(s.X * np.array([1.05, 1.0, 0.97]) + 0.1)
+        assert op.refresh() is False        # corrected, not reassembled
+        f = np.random.default_rng(7).standard_normal(
+            (s.grid.nlat, s.grid.nphi, 3))
+        fresh = SingularSelfInteraction(s).apply(f)
+        assert np.abs(op.apply_reference(f) - fresh).max() <= 1e-12
+        assert np.abs(op.apply(f) - fresh).max() > 1e-6
 
     def test_refresh_cell_forces_full_reassembly(self):
         sim = _scene(selfop_refresh_interval=100)

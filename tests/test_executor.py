@@ -1,6 +1,5 @@
-"""The CellBatch execution layer: pluggable executors, the
-structure-of-arrays batching of per-cell stages, and the float32
-far-field mode."""
+"""The CellBatch execution layer: pluggable executors and the
+structure-of-arrays batching of per-cell stages."""
 import numpy as np
 import pytest
 
@@ -13,7 +12,7 @@ from repro.runtime.executor import (EXECUTORS, ProcessPoolExecutor,
                                     ThreadPoolExecutor, make_executor,
                                     resolve_workers)
 from repro.surfaces import biconcave_rbc, ellipsoid
-from repro.vesicle import CellNearEvaluator, SingularSelfInteraction
+from repro.vesicle import SingularSelfInteraction
 
 
 def _scene(ncells=2, order=6, orders=None, backend="direct", **numopts):
@@ -77,10 +76,8 @@ class TestExecutors:
             ReproConfig(numerics=NumericsOptions(executor="gpu"))
         with pytest.raises(ValueError, match="workers"):
             ReproConfig(numerics=NumericsOptions(workers=0))
-        with pytest.raises(ValueError, match="farfield_dtype"):
-            ReproConfig(numerics=NumericsOptions(farfield_dtype="float16"))
         cfg = ReproConfig(numerics=NumericsOptions(
-            executor="thread", workers=2, farfield_dtype="float32"))
+            executor="thread", workers=2))
         assert ReproConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -189,51 +186,8 @@ class TestExecutorEquivalence:
 
 
 class TestFarfieldFloat32:
-    def test_evaluator_far_field_accuracy(self):
-        rng = np.random.default_rng(3)
-        s = biconcave_rbc(1.0, order=6)
-        den = rng.standard_normal((s.grid.nlat, s.grid.nphi, 3))
-        trg = rng.standard_normal((200, 3)) * 0.5 + np.array([4.0, 0, 0])
-        ref = CellNearEvaluator(s).evaluate(den, trg)
-        got = CellNearEvaluator(s, farfield_dtype="float32").evaluate(den, trg)
-        rel = np.abs(got - ref).max() / np.abs(ref).max()
-        assert 0.0 < rel <= 1e-5        # float32 used, accuracy preserved
-
-    def test_near_path_stays_float64(self):
-        """Near targets go through the near scheme, which is identical in
-        both modes."""
-        rng = np.random.default_rng(4)
-        s = biconcave_rbc(1.0, order=6)
-        den = rng.standard_normal((s.grid.nlat, s.grid.nphi, 3))
-        ev64 = CellNearEvaluator(s)
-        ev32 = CellNearEvaluator(s, farfield_dtype="float32")
-        g = s.geometry()
-        trg = (s.points + 0.3 * ev64.h * g.normal.reshape(-1, 3))[::7]
-        assert ev64.near_target_indices(trg).size == trg.shape[0]
-        ref = ev64.evaluate(den, trg)
-        got = ev32.evaluate(den, trg)
-        assert np.array_equal(ref, got)
-
-    def test_fmm_equivalent_sums_accuracy(self):
-        from repro.fmm import GlobalKIFMM
-        rng = np.random.default_rng(5)
-        src = rng.standard_normal((500, 3))
-        den = rng.standard_normal((500, 3))
-        trg = rng.standard_normal((100, 3)) + np.array([12.0, 0, 0])
-        t64 = GlobalKIFMM(src, den, "stokes_slp")
-        t32 = GlobalKIFMM(src, den, "stokes_slp", farfield_dtype="float32")
-        ref = t64.evaluate(trg)
-        got = t32.evaluate(trg)
-        rel = np.abs(got - ref).max() / np.abs(ref).max()
-        assert 0.0 < rel <= 1e-5
-
-    def test_trajectory_accuracy_vs_float64(self):
-        exact = _scene()
-        fast = _scene(farfield_dtype="float32")
-        exact.run(3)
-        fast.run(3)
-        dev = _max_dev(exact, fast)
-        assert 0.0 < dev <= 1e-4        # far field engaged, error bounded
+    """The kernel's single-precision path; no solver route uses it, but
+    the float32 SLP probe still times it."""
 
     def test_degenerate_cloud_stays_finite(self):
         """A single source coincident with the target must give exactly
@@ -243,15 +197,6 @@ class TestFarfieldFloat32:
         den = np.array([[1.0, 0.0, 0.0]])
         out = stokes_slp_apply(p, den, p, dtype="float32")
         assert np.array_equal(out, np.zeros((1, 3)))
-
-    def test_prebound_dtype_mismatch_raises(self):
-        from repro.core.interactions import DirectBackend
-        cells = [biconcave_rbc(1.0, order=5)]
-        be = DirectBackend().bind(cells, 1.0)    # float64 default
-        cfg = ReproConfig(with_collisions=False, forces=[Bending(0.01)],
-                          numerics=NumericsOptions(farfield_dtype="float32"))
-        with pytest.raises(ValueError, match="farfield_dtype"):
-            Simulation(cells, config=cfg, backend=be)
 
 
 class TestCheckedExecutor:

@@ -214,29 +214,6 @@ def f(x=[]):
         assert rules_of(src) == ["bare-except", "mutable-default",
                                  "no-assert"]
 
-    def test_literal_float32_cast_fires(self):
-        src = """
-import numpy as np
-
-def f(x):
-    a = x.astype(np.float32)
-    b = np.zeros(3, dtype="float32")
-    return a, b
-"""
-        assert lines_of(src, "float32-cast") == [5, 6]
-
-    def test_parameter_driven_dtype_passes(self):
-        """The sanctioned farfield_dtype pattern: the working dtype flows
-        through a variable, never a literal cast."""
-        src = """
-import numpy as np
-
-def f(x, dtype=None):
-    work = np.float32 if dtype in ("float32", np.float32) else np.float64
-    return x.astype(work, copy=False)
-"""
-        assert rules_of(src) == []
-
 
 class TestSentinelSuppressRule:
     def test_blanket_except_around_sentinel_fires(self):
@@ -345,6 +322,17 @@ def f(x):
             "assert x  # repro-lint: disable=picklable-task — removed rule")
         assert rules_of(src) == ["bad-suppression", "no-assert"]
 
+    def test_leftover_float32_cast_suppression_is_bad(self):
+        """The float32-cast rule is gone; a suppression still naming it
+        is reported, and its literal cast no longer is."""
+        src = """
+import numpy as np
+
+def f(x):
+    return x.astype(np.float32)  # repro-lint: disable=float32-cast — old
+"""
+        assert rules_of(src) == ["bad-suppression"]
+
 
 class TestGlobalMutablePass:
     def test_module_level_dict_literal_fires(self):
@@ -413,6 +401,7 @@ class TestAcceptance:
         out = capsys.readouterr().out
         assert out.split() == [
             "shared-write", "frozen-table", "no-assert", "bare-except",
-            "mutable-default", "float32-cast", "sentinel-suppress",
-            "global-mutable", "bad-suppression"]
-        assert "contract-dtype" not in out and "picklable-task" not in out
+            "mutable-default", "sentinel-suppress", "global-mutable",
+            "bad-suppression"]
+        for retired in ("contract-dtype", "picklable-task", "float32-cast"):
+            assert retired not in out

@@ -11,8 +11,7 @@
 2. **Frozen tables & library hygiene** (:mod:`.hygiene`) —
    ``lru_cache``'d numpy-table factories must return read-only arrays
    (``freeze``/``freeze_attributes``); plus no ``assert`` statements in
-   library code, no bare ``except:``, no mutable default arguments, and
-   no unsanctioned literal float32 casts.
+   library code, no bare ``except:`` and no mutable default arguments.
 3. **Module-level mutable state** (:mod:`.globals_lint`) — a
    module-level mutable container is process-global state shared by
    every simulation in the process (the ``warn_once``-registry bug

@@ -14,7 +14,6 @@ ALL_RULES = (
     "no-assert",
     "bare-except",
     "mutable-default",
-    "float32-cast",
     "sentinel-suppress",
     "global-mutable",
     "bad-suppression",

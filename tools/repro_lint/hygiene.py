@@ -14,10 +14,6 @@ Rules:
   ``SystemExit`` along with the intended error.
 - ``mutable-default`` — a mutable default argument is shared across
   calls.
-- ``float32-cast`` — literal single-precision casts
-  (``.astype(np.float32)``, ``dtype="float32"``) bypass the sanctioned
-  ``farfield_dtype`` configuration path, where the working dtype is a
-  parameter and float64 remains the default.
 - ``sentinel-suppress`` — health-sentinel machinery
   (``HealthSentinel.evaluate``, ``warn_once``, ``capture_state`` /
   ``restore_state``, ``StepRejectedError``) may not sit under a bare
@@ -104,12 +100,6 @@ def _check_sentinel_suppress(path: str, node: ast.Try,
                 "StepRejectedError swallowed with 'pass'; a rejected "
                 "step must be surfaced (log, re-raise, or recover "
                 "explicitly)"))
-
-
-def _is_float32_literal(node: ast.AST) -> bool:
-    if isinstance(node, ast.Constant) and node.value == "float32":
-        return True
-    return (isinstance(node, ast.Attribute) and node.attr == "float32")
 
 
 def _is_np_call(node: ast.AST) -> bool:
@@ -240,20 +230,4 @@ def check_hygiene(path: str, tree: ast.Module,
                         "inside"))
             if _is_lru_decorated(node):
                 _check_frozen_factory(path, node, index, out)
-        elif isinstance(node, ast.Call):
-            fn = node.func
-            if isinstance(fn, ast.Attribute) and fn.attr == "astype":
-                if any(_is_float32_literal(a) for a in node.args):
-                    out.append(Violation(
-                        path, node.lineno, "float32-cast",
-                        "literal .astype(float32) bypasses the "
-                        "farfield_dtype configuration; thread the working "
-                        "dtype through as a parameter"))
-            for kw in node.keywords:
-                if kw.arg == "dtype" and _is_float32_literal(kw.value):
-                    out.append(Violation(
-                        path, node.lineno, "float32-cast",
-                        "literal dtype=float32 bypasses the farfield_dtype "
-                        "configuration; thread the working dtype through "
-                        "as a parameter"))
     return out
