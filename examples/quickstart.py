@@ -128,24 +128,20 @@ def main() -> None:
     # time grid. Healthy steps are bit-identical to stepping with the
     # layer off, and the sentinel's cost is gated at <3% of ms/step by
     # benchmarks/bench_step_breakdown.py. The policy lives in
-    # cfg.resilience (a repro.ResilienceOptions): the retry budget
-    # (max_retries), the smallest sub-step (dt_floor_factor), the drift
-    # bounds, which findings reject a step, and the backend degradation
-    # chain — on non-finite far-field output the fast summation backend
-    # is permanently degraded along degradation_order
-    # (fmm -> direct) instead of failing the run. When the
-    # budget or the dt floor is exhausted, step() raises
+    # cfg.resilience (a repro.ResilienceOptions): on/off (enabled), the
+    # retry budget (max_retries) and the two drift bounds. Non-converged
+    # solves and unresolved contacts always reject a step, and on
+    # non-finite far-field output the "fmm" backend is permanently
+    # replaced by "direct" instead of failing the run. When the retry
+    # budget is exhausted, step() raises
     # repro.StepRejectedError with the state rolled back, and
     # report.health / report.retries / report.substeps record what
     # happened on every accepted step.
     r = cfg.resilience
     print("\n=== resilience & checkpointing ===")
-    print(f"policy         : enabled={r.enabled} max_retries={r.max_retries} "
-          f"dt_floor_factor={r.dt_floor_factor:g}")
+    print(f"policy         : enabled={r.enabled} max_retries={r.max_retries}")
     print(f"drift bounds   : area={r.max_area_drift:g} "
           f"volume={r.max_volume_drift:g}")
-    print(f"degradation    : {' -> '.join(r.degradation_order)} "
-          f"(backend_degradation={r.backend_degradation})")
     health = sim.history[-1].health
     print(f"last step      : healthy={health.healthy} "
           f"area_drift={health.area_drift:.2e} "

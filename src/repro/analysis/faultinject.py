@@ -67,21 +67,6 @@ def _poison_first_array(result):
     raise TypeError(f"no ndarray to poison in {type(result).__name__}")
 
 
-def _mark_nonconverged(result):
-    """Flip ``converged=False`` on a dataclass result (or on each
-    dataclass element of a tuple that has a ``converged`` field)."""
-    if dataclasses.is_dataclass(result):
-        return dataclasses.replace(result, converged=False)
-    if isinstance(result, tuple):
-        return tuple(
-            dataclasses.replace(item, converged=False)
-            if dataclasses.is_dataclass(item)
-            and any(f.name == "converged"
-                    for f in dataclasses.fields(item)) else item
-            for item in result)
-    raise TypeError(f"cannot mark {type(result).__name__} non-converged")
-
-
 @contextlib.contextmanager
 def _wrap_method(obj, method: str, make_wrapper):
     """Install ``make_wrapper(original, counter)`` over ``obj.method``
@@ -122,16 +107,6 @@ def inject_nan(obj, method: str, start: int = 0, count: int = 1):
     backend degradation."""
     with _wrap_method(obj, method,
                       _injector(start, count, _poison_first_array)) as c:
-        yield c
-
-
-@contextlib.contextmanager
-def force_nonconvergence(obj, method: str, start: int = 0, count: int = 1):
-    """Flip the ``converged`` flag of ``obj.method``'s dataclass result
-    to ``False`` on the chosen call window (e.g. an LCP/GMRES result) —
-    the trigger of a sentinel rejection and dt backoff."""
-    with _wrap_method(obj, method,
-                      _injector(start, count, _mark_nonconverged)) as c:
         yield c
 
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Literal, Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class BoundarySolver:
     def __init__(self, surface: PatchSurface, kernel: KernelName = "stokes",
                  viscosity: float = 1.0,
                  options: Optional[NumericsOptions] = None,
-                 rank_completion: Optional[bool] = None,
-                 far_backend: Optional[Callable] = None):
+                 rank_completion: Optional[bool] = None):
         self.surface = surface
         self.kernel: KernelName = kernel
         self.viscosity = viscosity
@@ -79,7 +78,6 @@ class BoundarySolver:
         self.ncomp = 3 if kernel == "stokes" else 1
         self.rank_completion = (kernel == "stokes") if rank_completion is None \
             else rank_completion
-        self.far_backend = far_backend
 
         opts = self.options
         self.coarse = surface.coarse()
@@ -116,9 +114,6 @@ class BoundarySolver:
     def _dlp_to_points(self, weighted_fine: np.ndarray,
                        targets: np.ndarray) -> np.ndarray:
         """Smooth double-layer quadrature from fine nodes to targets."""
-        if self.far_backend is not None:
-            return self.far_backend(self.fine.points, self.fine.normals,
-                                    weighted_fine, targets)
         if self.kernel == "stokes":
             return stokes_dlp_apply(self.fine.points, self.fine.normals,
                                     weighted_fine, targets)
@@ -148,7 +143,7 @@ class BoundarySolver:
         return M
 
     def _check_values(self, weighted_fine: np.ndarray) -> np.ndarray:
-        M = self._maybe_dense() if self.far_backend is None else None
+        M = self._maybe_dense()
         if M is not None:
             if self.kernel == "stokes":
                 vals = (M @ weighted_fine.reshape(-1)).reshape(-1, 3)
@@ -238,9 +233,6 @@ class BoundarySolver:
             out = out + flux * self.coarse.normals
         return out
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x).ravel()
-
     # -- solve ---------------------------------------------------------------
     def solve(self, g: np.ndarray, tol: Optional[float] = None,
               max_iter: Optional[int] = None
@@ -255,7 +247,8 @@ class BoundarySolver:
         n_dof = self.N * self.ncomp
         if self._A is None and n_dof <= 45000:
             self.assemble()
-        mv = (lambda x: self._A @ x) if self._A is not None else self.matvec
+        mv = ((lambda x: self._A @ x) if self._A is not None
+              else (lambda x: self.apply(x).ravel()))
         res = gmres(mv, g.ravel(),
                     tol=tol if tol is not None else self.options.gmres_tol,
                     max_iter=max_iter if max_iter is not None else self.options.gmres_max_iter)

@@ -31,14 +31,6 @@ class CollisionMesh:
     vertex_weights: np.ndarray    # (nv,)
     closed: bool
 
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
-    def n_triangles(self) -> int:
-        return self.triangles.shape[0]
-
     def aabb(self, other_vertices: Optional[np.ndarray] = None,
              pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned bounding box, optionally the *space-time* box that

@@ -44,9 +44,8 @@ class NCPReport:
     lambdas: np.ndarray
     #: whether the projection drove every contact volume above the
     #: tolerance before exhausting ``ncp_max_lcp`` linearizations
-    #: (``True`` when no contact was active). The health sentinel treats
-    #: ``False`` as a step-rejection trigger under
-    #: ``ResilienceOptions.reject_unresolved_contact``.
+    #: (``True`` when no contact was active). The health sentinel rejects
+    #: a step on ``False``.
     resolved: bool = True
     #: AND of the inner LCP solves' ``converged`` flags (within the
     #: documented slack of :func:`repro.collision.lcp.solve_lcp`).

@@ -131,8 +131,11 @@ class ResilienceOptions:
     convergence flags), and on a failed check rolls back and retries the
     step at half the time step — sub-stepping back onto the nominal time
     grid, so accepted trajectories always live on multiples of
-    ``ReproConfig.dt``. Healthy steps are bit-identical to stepping with
-    the layer disabled.
+    ``ReproConfig.dt``. A non-converged tension or implicit solve and an
+    unresolved contact projection always fail the check, and non-finite
+    cell-cell output from ``"fmm"`` rebinds the exact ``"direct"`` sum
+    for the rest of the run. Healthy steps are bit-identical to stepping
+    with the layer disabled.
     """
 
     #: run the health sentinel and reject-and-retry loop around every
@@ -141,10 +144,6 @@ class ResilienceOptions:
     #: retry budget per *nominal* step: how many times the layer may
     #: halve ``dt`` before giving up and raising ``StepRejectedError``.
     max_retries: int = 4
-    #: smallest allowed sub-step, as a fraction of the nominal ``dt``
-    #: (retries stop when halving would cross below
-    #: ``dt_floor_factor * dt``, independent of the retry budget).
-    dt_floor_factor: float = 1e-3
     #: reject a step when any cell's surface area drifts by more than
     #: this relative fraction within the step (membranes are
     #: inextensible; large one-step drift flags a corrupted solve).
@@ -152,35 +151,16 @@ class ResilienceOptions:
     #: reject a step when any cell's enclosed volume drifts by more than
     #: this relative fraction within the step.
     max_volume_drift: float = 0.05
-    #: treat a non-converged implicit GMRES fallback solve as a health
-    #: failure (the direct LU path always reports converged).
-    reject_nonconverged_implicit: bool = True
-    #: treat an exhausted contact projection (the NCP loop ran out of
-    #: LCP linearizations with penetrating volume left, or an inner LCP
-    #: failed to converge) as a health failure.
-    reject_unresolved_contact: bool = True
-    #: on non-finite cell-cell output from a fast summation backend,
-    #: permanently degrade the simulation to the next backend of
-    #: ``degradation_order`` instead of rejecting the step outright.
-    backend_degradation: bool = True
-    #: accuracy-ordered backend chain the degradation walks: when the
-    #: active backend emits non-finite velocities, the next entry to its
-    #: right is bound in its place (the last entry — the exact pairwise
-    #: ``"direct"`` sum — has nowhere to fall back to, so a non-finite
-    #: direct result goes down the dt-retry path instead).
-    degradation_order: tuple = ("fmm", "direct")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResilienceOptions":
-        """Build from a dict, ignoring unknown keys (forward
-        compatibility: configs saved by newer versions with extra policy
-        knobs still load) and normalizing ``degradation_order`` back to
-        a tuple after a JSON round-trip."""
+        """Build from a dict, ignoring unknown keys. Unlike a numerics
+        knob, a policy key cannot change an accepted trajectory (healthy
+        steps are bit-identical whatever the policy), so checkpoints and
+        sweep manifests that carry retired or newer policy keys still
+        load."""
         known = {f.name for f in dataclasses.fields(cls)}
-        kw = {k: v for k, v in d.items() if k in known}
-        if "degradation_order" in kw:
-            kw["degradation_order"] = tuple(kw["degradation_order"])
-        return cls(**kw)
+        return cls(**{k: v for k, v in d.items() if k in known})
 
 
 def _default_forces() -> list:
@@ -197,8 +177,8 @@ class ReproConfig:
     strategy is chosen by ``backend`` (a key of
     :data:`repro.core.interactions.BACKENDS`), all numerical
     tolerances live in the nested ``numerics`` bundle, and the
-    transactional-stepping policy (retry budget, dt floor, backend
-    degradation order) in the nested ``resilience`` bundle. Instances
+    transactional-stepping policy (on/off, retry budget, drift bounds)
+    in the nested ``resilience`` bundle. Instances
     validate on construction and round-trip losslessly through
     :meth:`to_dict` / :meth:`from_dict` (and JSON) provided every force
     term is serializable.
@@ -232,8 +212,8 @@ class ReproConfig:
     collision_points_per_patch_edge: int = 12
     numerics: NumericsOptions = dataclasses.field(
         default_factory=NumericsOptions)
-    #: transactional-stepping policy (health sentinel, retry budget, dt
-    #: floor, backend degradation order); see :class:`ResilienceOptions`.
+    #: transactional-stepping policy (health sentinel on/off, retry
+    #: budget, drift bounds); see :class:`ResilienceOptions`.
     resilience: ResilienceOptions = dataclasses.field(
         default_factory=ResilienceOptions)
 
@@ -309,18 +289,10 @@ class ReproConfig:
             if r.max_retries < 0:
                 errors.append(f"max_retries must be >= 0, got "
                               f"{r.max_retries}")
-            if not 0 < r.dt_floor_factor <= 1:
-                errors.append("dt_floor_factor must be in (0, 1], got "
-                              f"{r.dt_floor_factor}")
             if not r.max_area_drift > 0:
                 errors.append("max_area_drift must be positive")
             if not r.max_volume_drift > 0:
                 errors.append("max_volume_drift must be positive")
-            for name in r.degradation_order:
-                if name not in BACKENDS:
-                    errors.append(
-                        f"unknown backend {name!r} in degradation_order; "
-                        f"registered: {sorted(BACKENDS)}")
         if errors:
             raise ValueError("invalid ReproConfig: " + "; ".join(errors))
 
@@ -334,10 +306,6 @@ class ReproConfig:
                 return t.modulus
         return 0.0
 
-    def with_force(self, term) -> "ReproConfig":
-        """A copy of this config with ``term`` appended to ``forces``."""
-        return dataclasses.replace(self, forces=[*self.forces, term])
-
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -350,11 +318,7 @@ class ReproConfig:
             "collision_points_per_patch_edge":
                 self.collision_points_per_patch_edge,
             "numerics": dataclasses.asdict(self.numerics),
-            "resilience": {
-                **dataclasses.asdict(self.resilience),
-                "degradation_order":
-                    list(self.resilience.degradation_order),
-            },
+            "resilience": dataclasses.asdict(self.resilience),
         }
 
     @classmethod

@@ -13,7 +13,7 @@ are therefore one BLAS call per stage; heterogeneous scenes degrade
 gracefully to one call per order group.
 
 The position-dependent surface caches are seeded the same way once per
-step (:meth:`CellBatch.seed_coeffs` / :meth:`CellBatch.seed_geometry`;
+step (:meth:`CellBatch.seed_geometry`;
 :func:`repro.surfaces.seed_upsampled` for the fine resampling the near
 evaluators and collision meshes share). Those passes stack only
 batch-invariant operations (FFTs, the Legendre contraction, pointwise
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..linalg import StackedLUFactorization
-from ..surfaces import SpectralSurface, seed_geometry, stacked_coeffs
+from ..surfaces import SpectralSurface, seed_geometry
 from ..vesicle.self_interaction import assemble_circulant
 
 
@@ -52,28 +52,7 @@ class CellBatch:
         #: results back by index is deterministic.
         self.groups: List[Tuple[int, List[int]]] = sorted(by_order.items())
 
-    @property
-    def homogeneous(self) -> bool:
-        """Whether every cell shares one spherical-harmonic order."""
-        return len(self.groups) <= 1
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    # -- stacked views -----------------------------------------------------
-    def stacked_positions(self) -> Dict[int, np.ndarray]:
-        """Per order group, positions stacked as ``(k, nlat, nphi, 3)``."""
-        return {order: np.stack([self.cells[i].X for i in idx])
-                for order, idx in self.groups}
-
     # -- stacked cache seeding ---------------------------------------------
-    def seed_coeffs(self) -> None:
-        """Fill every cell's empty SH-coefficient cache from one stacked
-        forward SHT per order group
-        (:func:`repro.surfaces.stacked_coeffs`)."""
-        for _, idx in self.groups:
-            stacked_coeffs([self.cells[i] for i in idx])
-
     def seed_geometry(self) -> None:
         """Fill every cell's empty native-grid and anti-aliasing geometry
         cache (and the coefficients they need) from one stacked

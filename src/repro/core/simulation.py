@@ -26,6 +26,12 @@ from .timers import ComponentTimers
 RECOVERABLE_ERRORS = (ArithmeticError, ValueError, RuntimeError,
                       np.linalg.LinAlgError)
 
+#: smallest sub-step the retries may reach, as a fraction of the nominal
+#: dt; halving stops before crossing it, whatever the retry budget. The
+#: tenth halving is the first below it, so it binds only when
+#: ``ResilienceOptions.max_retries`` >= 10.
+DT_FLOOR_FACTOR = 1e-3
+
 
 class Simulation:
     """A confined (or free-space) RBC flow simulation.
@@ -98,10 +104,6 @@ class Simulation:
 
         self.t = 0.0
         self.history: list[StepReport] = []
-
-    @property
-    def boundary_solver(self) -> Optional[BoundarySolver]:
-        return self.stepper.boundary_solver
 
     @property
     def backend(self) -> InteractionBackend:
@@ -208,11 +210,11 @@ class Simulation:
                     f"step at t={t_sub:.6g} rejected after "
                     f"{pol.max_retries} retries ({failure}); state rolled "
                     "back to the last accepted sub-step", health=health)
-            if float(frac) / 2.0 < pol.dt_floor_factor:
+            if float(frac) / 2.0 < DT_FLOOR_FACTOR:
                 raise StepRejectedError(
                     f"step at t={t_sub:.6g} still failing at dt = "
                     f"{float(frac):g} x nominal; halving again would cross "
-                    f"the dt floor ({pol.dt_floor_factor:g} x nominal). "
+                    f"the dt floor ({DT_FLOOR_FACTOR:g} x nominal). "
                     f"Last failure: {failure}", health=health)
             frac = frac / 2
         if len(substeps) == 1 and retries == 0:

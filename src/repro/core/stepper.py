@@ -118,12 +118,10 @@ class TimeStepper:
                  viscosity: float = 1.0):
         self.cells = list(cells)
         self.options = options or NumericsOptions()
-        #: graceful-degradation policy (a
-        #: :class:`repro.config.ResilienceOptions` or ``None``): with
-        #: ``backend_degradation`` set, non-finite cell-cell output from
-        #: a fast backend rebinds the next backend of
-        #: ``degradation_order`` in its place (see
-        #: :meth:`_degrade_backend`).
+        #: transactional-stepping policy (a
+        #: :class:`repro.config.ResilienceOptions` or ``None``): while it
+        #: is enabled, non-finite cell-cell output from ``"fmm"`` rebinds
+        #: ``"direct"`` in its place (see :meth:`_degrade_backend`).
         self.resilience = resilience
         #: name of the backend the degradation fell back to, or ``None``.
         self.backend_degraded_to: Optional[str] = None
@@ -309,24 +307,19 @@ class TimeStepper:
 
     # -- the explicit pipeline ------------------------------------------------
     def _next_degraded_backend(self) -> Optional[str]:
-        """Name of the backend the degradation policy would fall back to
-        from the active one, or ``None`` (policy off / chain exhausted /
-        active backend not in the chain)."""
+        """``"direct"`` when the resilience layer is on and the active
+        backend is ``"fmm"``; otherwise ``None`` (layer off, or already
+        on the exact pairwise sum, which has nowhere to fall back to)."""
         pol = self.resilience
-        if pol is None or not (pol.enabled and pol.backend_degradation):
-            return None
-        order = tuple(pol.degradation_order)
-        name = self.backend.name
-        if name not in order or order.index(name) + 1 >= len(order):
-            return None
-        return order[order.index(name) + 1]
+        if pol is not None and pol.enabled and self.backend.name == "fmm":
+            return "direct"
+        return None
 
     def _degrade_backend(self, forces: Sequence[np.ndarray],
                          contrib: list) -> list:
         """Graceful degradation of the cell-cell summation: while the
         active backend's output contains non-finite values and the
-        policy names a fallback, permanently rebind the next backend of
-        ``degradation_order`` (fmm -> direct by default) and
+        policy names a fallback, permanently rebind it (fmm -> direct) and
         re-evaluate. Sticky: later steps keep the degraded backend (the
         fast backend already proved unreliable on this scene). When the
         chain is exhausted the poisoned result is returned unchanged and

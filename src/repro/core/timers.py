@@ -59,11 +59,5 @@ class ComponentTimers:
                 if stack:
                     self.seconds[stack[-1]] -= elapsed
 
-    def total(self) -> float:
-        return sum(self.seconds.values())
-
     def breakdown(self) -> dict[str, float]:
         return {c: self.seconds.get(c, 0.0) for c in CATEGORIES}
-
-    def reset(self) -> None:
-        self.seconds.clear()

@@ -208,7 +208,8 @@ def _apply_m2l(kernel: KernelName, e: int, viscosity: float,
                off: Tuple[int, int, int], Q: np.ndarray) -> np.ndarray:
     """Batched M2L: upward densities ``Q`` (k, m, ncomp) of k source
     boxes at integer offset ``off`` from their targets -> the targets'
-    downward-density contributions (same shape).
+    downward-density contributions (same shape). Test oracle for the
+    symmetry-reduced M2L that :meth:`GlobalKIFMM.evaluate` applies.
 
     Non-canonical offsets route through the canonical operator: with
     ``d* = R off``, kernel equivariance (and the fit's, which conjugates

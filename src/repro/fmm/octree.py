@@ -201,7 +201,8 @@ class Octree:
 
     def subtree_indices(self, nid: int) -> np.ndarray:
         """All source indices under box ``nid`` (the leaf indices of its
-        subtree, concatenated in depth-first order)."""
+        subtree, concatenated in depth-first order). Test oracle for the
+        completeness of the interaction lists."""
         node = self.nodes[nid]
         if node.is_leaf:
             return node.indices

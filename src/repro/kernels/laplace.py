@@ -3,7 +3,9 @@
 The boundary solver of Section 3 is formulated for general elliptic PDEs;
 the Laplace kernels provide a cheap scalar instance used heavily by the
 test suite (the constant-density jump identity and interior Dirichlet
-solves are much cheaper than their Stokes counterparts).
+solves are much cheaper than their Stokes counterparts). No scene runs
+them: they are the test oracle for the kernel-independent boundary
+solver and FMM (``kernel="laplace"``).
 """
 from __future__ import annotations
 

@@ -31,7 +31,8 @@ _COINCIDENT_R2 = 1e-20
 
 
 def _pairwise_r(trg_chunk: np.ndarray, src: np.ndarray):
-    """r = x - y for all pairs; returns (r, r2) with a zero-distance guard."""
+    """r = x - y for all pairs; returns (r, r2) with a zero-distance guard.
+    Test oracle helper: only :func:`stokes_pressure_slp_apply` uses it."""
     r = trg_chunk[:, None, :] - src[None, :, :]
     r2 = np.einsum("tsk,tsk->ts", r, r)
     return r, r2
@@ -212,7 +213,8 @@ def stokes_dlp_apply(src: np.ndarray, normals: np.ndarray,
 
 def stokes_pressure_slp_apply(src: np.ndarray, weighted_density: np.ndarray,
                               trg: np.ndarray) -> np.ndarray:
-    """Pressure of the single-layer potential: p(x) = sum (r.f) / (4 pi r^3)."""
+    """Pressure of the single-layer potential: p(x) = sum (r.f) / (4 pi r^3).
+    Test oracle for -Δu + ∇p = 0 on :func:`stokes_slp_apply`'s velocity."""
     src = np.asarray(src, float).reshape(-1, 3)
     trg = np.asarray(trg, float).reshape(-1, 3)
     f = np.asarray(weighted_density, float).reshape(-1, 3)

@@ -87,7 +87,8 @@ def cube_sphere(refine: int = 0, radius: float = 1.0, center=(0.0, 0.0, 0.0),
 def torus_surface(R: float = 2.0, r: float = 0.7, nu: int = 8, nv: int = 4,
                   center=(0.0, 0.0, 0.0),
                   options: Optional[NumericsOptions] = None) -> PatchSurface:
-    """Torus split into nu x nv patches over its periodic parametrization."""
+    """Torus split into nu x nv patches over its periodic parametrization.
+    Test oracle for the patch quadrature (analytic area and volume)."""
     opts = options or NumericsOptions()
     n = opts.patch_quad
     center = np.asarray(center, float)

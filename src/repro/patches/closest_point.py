@@ -119,6 +119,7 @@ def closest_point_on_patch(patch: ChebPatch, x: np.ndarray,
                            iters: int = _ITERS, tol: float = _STEP_TOL
                            ) -> tuple[np.ndarray, np.ndarray, float]:
     """Newton + backtracking minimization of |x - P(u,v)| on one patch.
+    Test oracle for :func:`surface_closest_point`'s batched Newton.
 
     The parameters are clamped to [-1, 1]^2 (the minimum may be on the
     patch edge; the neighboring patch then yields the true closest point,

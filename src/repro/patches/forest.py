@@ -7,15 +7,13 @@ This module reimplements the services the paper uses:
 
 - leaf storage in global Morton order (tree id major, then interleaved
   quadrant coordinates),
-- refine / coarsen with exact polynomial patch data transfer,
+- refinement with exact polynomial patch data transfer,
 - parent/child relations between the coarse and fine discretizations.
 """
 from __future__ import annotations
 
 import dataclasses
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .patch import ChebPatch
 
@@ -105,56 +103,3 @@ class QuadForest:
         self.leaves = new_leaves
         self._sort()
         return count
-
-    def coarsen(self, marker: Optional[Callable[[PatchNode], bool]] = None) -> int:
-        """Coarsen families of 4 sibling leaves where all 4 are marked.
-
-        The parent patch is reconstructed by resampling the children at
-        the parent's nodes (exact, since the children are restrictions of
-        the same polynomial... for refined-then-coarsened data; for
-        independently modified children this is an L2-consistent merge).
-        Returns the number of families merged.
-        """
-        by_parent: dict[tuple[int, int, int, int], list[PatchNode]] = {}
-        for n in self.leaves:
-            if n.level == 0:
-                continue
-            key = (n.tree, n.level - 1, n.i // 2, n.j // 2)
-            by_parent.setdefault(key, []).append(n)
-        merged = 0
-        to_remove: set[int] = set()
-        new_nodes: list[PatchNode] = []
-        for (tree, lvl, pi, pj), kids in by_parent.items():
-            if len(kids) != 4:
-                continue
-            if marker is not None and not all(marker(k) for k in kids):
-                continue
-            parent_patch = self._merge_children(kids)
-            new_nodes.append(PatchNode(tree, lvl, pi, pj, parent_patch))
-            to_remove.update(id(k) for k in kids)
-            merged += 1
-        if merged:
-            self.leaves = [n for n in self.leaves if id(n) not in to_remove]
-            self.leaves.extend(new_nodes)
-            self._sort()
-        return merged
-
-    @staticmethod
-    def _merge_children(kids: list[PatchNode]) -> ChebPatch:
-        n = kids[0].patch.n
-        from ..quadrature.interpolation import chebyshev_lobatto_nodes
-        nodes = chebyshev_lobatto_nodes(n)
-        vals = np.empty((n, n, 3))
-        kid_map = {(k.i % 2, k.j % 2): k.patch for k in kids}
-        for a, u in enumerate(nodes):
-            for b, v in enumerate(nodes):
-                bi = 0 if u <= 0 else 1
-                bj = 0 if v <= 0 else 1
-                # Parent param -> child param.
-                cu = 2.0 * u + (1.0 if bi == 0 else -1.0)
-                cv = 2.0 * v + (1.0 if bj == 0 else -1.0)
-                vals[a, b] = kid_map[(bi, bj)].evaluate(np.array([[cu, cv]]))[0]
-        return ChebPatch(vals)
-
-    def levels(self) -> np.ndarray:
-        return np.array([n.level for n in self.leaves])

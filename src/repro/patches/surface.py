@@ -163,18 +163,6 @@ class PatchSurface:
         owner = np.repeat(np.arange(self.n_patches), m * m)
         return np.concatenate(pts), owner
 
-    # -- refinement --------------------------------------------------------------
-    def refined(self, k: int = 2) -> "PatchSurface":
-        """Uniformly subdivide every patch into k x k children.
-
-        This is the weak-scaling refinement step of Sec. 5.2 (k = 2 gives
-        4x the patches).
-        """
-        out: list[ChebPatch] = []
-        for p in self.patches:
-            out.extend(p.subdivide(k))
-        return PatchSurface(out, self.options)
-
     def flip_orientation(self) -> "PatchSurface":
         """Reverse the normal direction (swap u and v)."""
         flipped = [ChebPatch(np.transpose(p.values, (1, 0, 2))) for p in self.patches]

@@ -6,40 +6,12 @@ with the force terms and numerics of one experiment from the paper
 ``dataclasses.replace``. All presets round-trip through JSON::
 
     cfg = presets.sedimentation()
-    presets.ensure_roundtrip(cfg)   # raises ValueError on any drift
-
-:func:`ensure_roundtrip` is the library's guard for configs carrying
-custom force terms: it reports exactly which fields fail to survive
-serialization instead of asserting.
+    assert ReproConfig.from_json(cfg.to_json()) == cfg
 """
 from __future__ import annotations
 
-import dataclasses
-
 from .config import NumericsOptions, ReproConfig
 from .physics.terms import Bending, Gravity, ShearFlow
-
-
-def ensure_roundtrip(cfg: ReproConfig) -> ReproConfig:
-    """Verify ``cfg`` survives a JSON round-trip; return the reconstruction.
-
-    Raises ``ValueError`` naming every top-level field whose
-    reconstructed value differs from the original — typically a custom
-    force term whose ``to_dict``/``from_dict`` drop a parameter.
-    """
-    back = ReproConfig.from_json(cfg.to_json())
-    if back == cfg:
-        return back
-    diffs = []
-    for fld in dataclasses.fields(cfg):
-        a = getattr(cfg, fld.name)
-        b = getattr(back, fld.name)
-        if a != b:
-            diffs.append(f"  {fld.name}: {a!r} != {b!r}")
-    detail = "\n".join(diffs) or "  (values differ only inside nested objects)"
-    raise ValueError(
-        "config does not round-trip through JSON; differing fields:\n"
-        + detail)
 
 
 def _light_numerics(**overrides) -> NumericsOptions:

@@ -14,8 +14,8 @@ silently poisons everything after it. This package makes
 - :mod:`~repro.resilience.checkpoint` persists a mid-run state to disk
   and resumes it bit-identically.
 
-Policy (what rejects a step, how many dt-halved retries, the backend
-degradation chain) lives in :class:`repro.config.ResilienceOptions`.
+Policy (on/off, how many dt-halved retries, the drift bounds) lives in
+:class:`repro.config.ResilienceOptions`.
 """
 from .health import (HealthSentinel, StepHealth, StepRejectedError,
                      WarnOnceRegistry)

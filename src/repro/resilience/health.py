@@ -12,12 +12,14 @@ StepReport` or a cached surface quantity the next step computes anyway,
 so the sentinel adds no appreciable per-step cost (gated at <3% by
 ``benchmarks/bench_step_breakdown.py``).
 
-Which findings *reject* a step is policy, not physics, and lives in
-:class:`repro.config.ResilienceOptions`. Two findings are deliberately
-record-only: BIE non-convergence (the paper caps the boundary GMRES at
-30 iterations by design, so hitting the cap is the expected steady-state
-behavior, not a fault) and singular LU slices (already degraded
-gracefully to the GMRES fallback by :mod:`repro.linalg.dense`). The
+Non-finite state, a non-converged tension or implicit solve and an
+unresolved contact projection always reject a step; the drift bounds are
+policy and live in :class:`repro.config.ResilienceOptions`. Two findings
+are deliberately record-only: BIE non-convergence (the paper caps the
+boundary GMRES at 30 iterations by design, so hitting the cap is the
+expected steady-state behavior, not a fault) and singular LU slices
+(already degraded gracefully to the GMRES fallback by
+:mod:`repro.linalg.dense`). The
 sentinel says nothing about either; :meth:`TimeStepper.step
 <repro.core.stepper.TimeStepper.step>`, which sees them with or without a
 sentinel, is the one place that logs each once per run.
@@ -159,16 +161,13 @@ class HealthSentinel:
                     f"enclosed volume drifted {volume_drift:.3g} in one "
                     f"step (bound {pol.max_volume_drift:.3g})")
 
-        if pol.reject_nonconverged_implicit:
-            bad = [i for i, ok in enumerate(report.implicit_converged)
-                   if not ok]
-            if bad:
-                failures.append(f"implicit solve non-converged on cells "
-                                f"{bad}")
-            if not report.tension_converged:
-                failures.append("tension solve non-converged")
-        if (pol.reject_unresolved_contact and report.ncp is not None
-                and not (report.ncp.resolved and report.ncp.lcp_converged)):
+        bad = [i for i, ok in enumerate(report.implicit_converged) if not ok]
+        if bad:
+            failures.append(f"implicit solve non-converged on cells {bad}")
+        if not report.tension_converged:
+            failures.append("tension solve non-converged")
+        if report.ncp is not None and not (report.ncp.resolved
+                                           and report.ncp.lcp_converged):
             failures.append(
                 "contact projection unresolved (penetration "
                 f"{report.ncp.max_penetration_after:.3g} after "

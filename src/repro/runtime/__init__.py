@@ -14,7 +14,7 @@ from .caches import warm_caches
 from .executor import (EXECUTORS, Executor, ProcessPoolExecutor, ProcessTask,
                        SerialExecutor, ThreadPoolExecutor, make_executor,
                        register_executor, resolve_workers)
-from .spatial_hash import SpatialHash, morton_keys_3d, morton_decode_3d
+from .spatial_hash import SpatialHash, morton_keys_3d
 
 __all__ = [
     "warm_caches",
@@ -29,5 +29,4 @@ __all__ = [
     "resolve_workers",
     "SpatialHash",
     "morton_keys_3d",
-    "morton_decode_3d",
 ]

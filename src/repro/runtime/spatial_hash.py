@@ -24,16 +24,6 @@ def _part1by2(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _compact1by2(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64) & np.uint64(0x1249249249249249)
-    x = (x | (x >> np.uint64(2))) & np.uint64(0x10C30C30C30C30C3)
-    x = (x | (x >> np.uint64(4))) & np.uint64(0x100F00F00F00F00F)
-    x = (x | (x >> np.uint64(8))) & np.uint64(0x1F0000FF0000FF)
-    x = (x | (x >> np.uint64(16))) & np.uint64(0x1F00000000FFFF)
-    x = (x | (x >> np.uint64(32))) & np.uint64(0x1FFFFF)
-    return x
-
-
 def morton_keys_3d(ijk: np.ndarray) -> np.ndarray:
     """Morton keys of integer grid coordinates, shape (n, 3) -> (n,)."""
     ijk = np.asarray(ijk)
@@ -41,15 +31,6 @@ def morton_keys_3d(ijk: np.ndarray) -> np.ndarray:
         raise ValueError("grid coordinates out of Morton range")
     return (_part1by2(ijk[:, 0]) << np.uint64(2)) | \
            (_part1by2(ijk[:, 1]) << np.uint64(1)) | _part1by2(ijk[:, 2])
-
-
-def morton_decode_3d(keys: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`morton_keys_3d`."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    i = _compact1by2(keys >> np.uint64(2))
-    j = _compact1by2(keys >> np.uint64(1))
-    k = _compact1by2(keys)
-    return np.column_stack([i, j, k]).astype(np.int64)
 
 
 class SpatialHash:
@@ -71,9 +52,6 @@ class SpatialHash:
     def cell_of(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, float))
         return np.floor((pts - self.origin) / self.spacing).astype(np.int64)
-
-    def keys_of(self, points: np.ndarray) -> np.ndarray:
-        return morton_keys_3d(self.cell_of(points))
 
     def box_keys(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """All grid cells overlapped by an AABB, as unique Morton keys."""

@@ -7,7 +7,7 @@ longitudes). This subpackage provides
 
 - :class:`SphGrid` — the (p+1) x (2p+2) sampling grid with quadrature
   weights exact for band-limited integrands,
-- forward/inverse spherical-harmonic transforms (:func:`sht`, :func:`isht`),
+- forward/inverse spherical-harmonic transforms (:class:`SHTransform`),
 - spectral differentiation in both angles,
 - synthesis at arbitrary points on the sphere (used by the rotation-based
   singular quadrature of [48]/[14] cited in the paper),
@@ -15,15 +15,13 @@ longitudes). This subpackage provides
 """
 from .grid import SphGrid
 from .alp import normalized_alp, normalized_alp_theta_derivative
-from .transform import SHTransform, get_transform, sht, isht
+from .transform import SHTransform, get_transform
 from .rotation import rotated_sphere_points, rotation_matrix_to_pole
 
 __all__ = [
     "SphGrid",
     "SHTransform",
     "get_transform",
-    "sht",
-    "isht",
     "normalized_alp",
     "normalized_alp_theta_derivative",
     "rotated_sphere_points",

@@ -71,16 +71,6 @@ class SphGrid:
             raise ValueError("field shape does not match grid")
         return np.tensordot(self.weights, f, axes=([0, 1], [0, 1]))
 
-    def flatten(self, f: np.ndarray) -> np.ndarray:
-        """Reshape a gridded field to point-cloud layout."""
-        f = np.asarray(f)
-        return f.reshape(self.n_points, *f.shape[2:])
-
-    def unflatten(self, f: np.ndarray) -> np.ndarray:
-        """Reshape a point-cloud field back to the grid layout."""
-        f = np.asarray(f)
-        return f.reshape(self.nlat, self.nphi, *f.shape[1:])
-
 
 @locked_cache(maxsize=PER_ORDER_CACHE_SIZE)
 def get_grid(order: int) -> SphGrid:

@@ -226,6 +226,7 @@ class SHTransform:
     def evaluate(self, c: np.ndarray, theta: np.ndarray, phi: np.ndarray,
                  derivative: str = "none", real: bool = True) -> np.ndarray:
         """Evaluate the SH series (or an angular derivative) at points.
+        Test oracle for the grid derivatives and the collision mesh poles.
 
         ``derivative`` is one of ``"none"``, ``"theta"``, ``"phi"``,
         ``"theta2"``, ``"thetaphi"``, ``"phi2"``. Points may not lie on the
@@ -277,17 +278,3 @@ def get_transform(order: int) -> SHTransform:
     first calls build once, and mixed-order sweeps never evict a live
     scene's tables."""
     return SHTransform(order)
-
-
-def sht(f: np.ndarray, order: int | None = None) -> np.ndarray:
-    """One-shot forward transform; infers the order from the grid shape."""
-    f = np.asarray(f)
-    if order is None:
-        order = f.shape[0] - 1
-    return get_transform(order).forward(f)
-
-
-def isht(c: np.ndarray, real: bool = True) -> np.ndarray:
-    """One-shot inverse transform; infers the order from ``c``."""
-    order = c.shape[0] - 1
-    return get_transform(order).inverse(c, real=real)

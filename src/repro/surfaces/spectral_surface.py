@@ -216,11 +216,6 @@ class SpectralSurface:
         return SpectralSurface(self.X + np.asarray(shift, float), self.order,
                                self.aliasing_factor)
 
-    def scaled(self, factor: float, about_centroid: bool = True) -> "SpectralSurface":
-        c = self.centroid() if about_centroid else np.zeros(3)
-        return SpectralSurface(c + factor * (self.X - c), self.order,
-                               self.aliasing_factor)
-
     def rotated(self, R: np.ndarray) -> "SpectralSurface":
         c = self.centroid()
         pts = (self.points - c) @ np.asarray(R, float).T + c
@@ -310,6 +305,7 @@ class SpectralSurface:
     def cylindrical_frames(self) -> np.ndarray:
         """Orthonormal cylindrical component frames about the
         parametrization's polar axis, shape ``(nlat, nphi, 3, 3)``.
+        Test oracle for the self-operator's circulant structure.
 
         Row ``k`` of the ``(3, 3)`` block at a grid point is the ``k``-th
         frame vector ``(e_rho, e_phi, e_z)`` at that point's longitude

@@ -63,14 +63,6 @@ class SweepReport:
     #: wall-clock seconds of this run (restored jobs cost none).
     elapsed: float = 0.0
 
-    @property
-    def completed(self) -> List[SceneResult]:
-        return [r for r in self.results if r.completed]
-
-    @property
-    def failed(self) -> List[SceneResult]:
-        return [r for r in self.results if r.status == "failed"]
-
 
 class SweepRunner:
     """Multiplex :class:`SceneJob`s over a registry executor.

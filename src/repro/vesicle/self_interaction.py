@@ -611,8 +611,8 @@ class SingularSelfInteraction:
             grid.nlat, grid.nphi, 3)
 
     def apply_reference(self, density: np.ndarray) -> np.ndarray:
-        """Seed-path re-synthesis evaluation (reference for the assembled
-        matrix; kept for verification and convergence tests).
+        """Seed-path re-synthesis evaluation. Test oracle for the
+        assembled and the amortized matrix.
 
         Rotates the quadrature geometry of the surface's *current*
         position on every call, so it is the exact operator at any

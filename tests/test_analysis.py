@@ -6,6 +6,7 @@ import pytest
 
 from repro import presets
 from repro.analysis import freeze, register_shared, tables_frozen
+from repro.config import ReproConfig
 
 
 class TestFrozenTables:
@@ -84,23 +85,10 @@ class TestFrozenTables:
 
 
 class TestLibraryErrors:
-    def test_ensure_roundtrip_passes_for_all_presets(self):
-        for name, factory in presets.ALL.items():
+    def test_presets_roundtrip_through_json(self):
+        for factory in presets.ALL.values():
             cfg = factory()
-            assert presets.ensure_roundtrip(cfg) == cfg
-
-    def test_ensure_roundtrip_reports_failing_field(self, monkeypatch):
-        import dataclasses
-        cfg = presets.relaxation()
-
-        class BrokenConfig:
-            @staticmethod
-            def from_json(_):
-                return dataclasses.replace(cfg, dt=cfg.dt + 1.0)
-
-        monkeypatch.setattr(presets, "ReproConfig", BrokenConfig)
-        with pytest.raises(ValueError, match=r"dt: 0\.05"):
-            presets.ensure_roundtrip(cfg)
+            assert ReproConfig.from_json(cfg.to_json()) == cfg
 
     def test_closest_point_empty_candidates_raises(self):
         from repro.patches import cube_sphere, surface_closest_point

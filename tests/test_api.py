@@ -8,7 +8,8 @@ import pytest
 
 import repro.analysis
 import repro.runtime
-from repro import NumericsOptions, ReproConfig, Scenario, presets
+from repro import (NumericsOptions, ReproConfig, ResilienceOptions,
+                   Scenario, presets)
 from repro.core import DirectBackend, Simulation, make_backend
 from repro.core.interactions import BACKENDS, FMMBackend
 from repro.physics.terms import (BackgroundFlow, Bending, ForceTerm, Gravity,
@@ -110,12 +111,6 @@ class TestReproConfig:
         assert presets.relaxation(bending_modulus=0.07).bending_modulus == 0.07
         assert ReproConfig(forces=[Tension()]).bending_modulus == 0.0
 
-    def test_with_force_copies(self):
-        cfg = presets.relaxation()
-        cfg2 = cfg.with_force(Gravity(2.0))
-        assert len(cfg2.forces) == len(cfg.forces) + 1
-        assert all(not isinstance(t, Gravity) for t in cfg.forces)
-
     def test_numerics_not_mutated_by_simulation(self):
         opts = NumericsOptions(gmres_max_iter=17)
         before = dataclasses.asdict(opts)
@@ -133,6 +128,8 @@ class TestReproConfig:
             "patch_quad", "check_order", "check_r_factor", "upsample_eta",
             "gmres_max_iter", "gmres_tol", "ncp_max_lcp",
             "selfop_refresh_interval", "executor", "workers"]
+        assert [f.name for f in dataclasses.fields(ResilienceOptions)] == [
+            "enabled", "max_retries", "max_area_drift", "max_volume_drift"]
         assert sorted(BACKENDS) == ["direct", "fmm"]
         assert sorted(EXECUTORS) == ["checked", "process", "serial", "thread"]
         assert sorted(presets.ALL) == ["relaxation", "sedimentation", "shear",
@@ -141,13 +138,13 @@ class TestReproConfig:
             "warm_caches", "Executor", "SerialExecutor", "ThreadPoolExecutor",
             "ProcessPoolExecutor", "ProcessTask", "EXECUTORS",
             "make_executor", "register_executor", "resolve_workers",
-            "SpatialHash", "morton_keys_3d", "morton_decode_3d"]
+            "SpatialHash", "morton_keys_3d"]
         assert importlib.util.find_spec(".scaling", package="repro") is None
         assert repro.analysis.__all__ == [
             "DeterminismError", "freeze", "freeze_attributes",
             "iter_shared_arrays", "register_shared", "tables_frozen",
-            "InjectedFault", "inject_nan", "force_nonconvergence",
-            "force_unresolved_contact", "raise_in_task"]
+            "InjectedFault", "inject_nan", "force_unresolved_contact",
+            "raise_in_task"]
 
     def test_retired_numerics_keys_rejected_by_name(self):
         """A config written before the route consolidation serialized

@@ -26,7 +26,7 @@ from repro.vesicle import SingularSelfInteraction
 class TestMeshes:
     def test_cell_mesh_closed_euler(self):
         m = cell_collision_mesh(sphere(1.0, order=6), 0)
-        V, F = m.n_vertices, m.n_triangles
+        V, F = len(m.vertices), len(m.triangles)
         edges = set()
         for t in m.triangles:
             for a, b in ((0, 1), (1, 2), (2, 0)):
@@ -55,8 +55,8 @@ class TestMeshes:
     def test_patch_mesh(self, small_opts):
         s = cube_sphere(refine=0, options=small_opts)
         m = patch_collision_mesh(s.patches[0], 0, m=10)
-        assert m.n_vertices == 100
-        assert m.n_triangles == 2 * 81
+        assert len(m.vertices) == 100
+        assert len(m.triangles) == 2 * 81
         assert not m.closed
 
     def test_space_time_aabb(self):

@@ -86,12 +86,8 @@ class TestCellBatch:
         cells = [ellipsoid(1.0, 1.0, 1.2, order=4),
                  biconcave_rbc(1.0, order=6),
                  ellipsoid(1.0, 1.1, 0.9, order=4)]
-        batch = CellBatch(cells)
-        assert not batch.homogeneous
-        assert batch.groups == [(4, [0, 2]), (6, [1])]
-        assert CellBatch(cells[:1]).homogeneous
-        stacked = batch.stacked_positions()
-        assert stacked[4].shape == (2, 5, 10, 3)
+        assert CellBatch(cells).groups == [(4, [0, 2]), (6, [1])]
+        assert CellBatch(cells[:1]).groups == [(4, [0])]
 
     def test_seed_coeffs_matches_per_cell_forward(self):
         cells = [biconcave_rbc(1.0, center=(2.4 * i, 0, 0), order=6)
@@ -99,8 +95,7 @@ class TestCellBatch:
         ref = [c.coeffs().copy() for c in
                [biconcave_rbc(1.0, center=(2.4 * i, 0, 0), order=6)
                 for i in range(3)] + [ellipsoid(1.0, 1.2, 0.8, order=4)]]
-        batch = CellBatch(cells)
-        batch.seed_coeffs()
+        CellBatch(cells).seed_geometry()
         for c, r in zip(cells, ref):
             assert c._coeffs is not None
             scale = np.abs(r).max()

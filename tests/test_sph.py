@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import sph_harm_y
 
-from repro.sph import SHTransform, get_transform, isht, sht
+from repro.sph import SHTransform, get_transform
 from repro.sph.alp import (
     normalized_alp,
     normalized_alp_theta_derivative,
     normalized_alp_theta_derivative2,
 )
-from repro.sph.grid import SphGrid, get_grid
+from repro.sph.grid import SphGrid
 from repro.sph.rotation import rotated_sphere_points, rotation_matrix_to_pole
 
 
@@ -44,11 +44,6 @@ class TestGrid:
         g = SphGrid(5)
         pts = g.points_unit_sphere()
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0)
-
-    def test_flatten_unflatten(self, rng):
-        g = get_grid(4)
-        f = rng.normal(size=(g.nlat, g.nphi, 3))
-        assert np.array_equal(g.unflatten(g.flatten(f)), f)
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
@@ -151,12 +146,6 @@ class TestTransform:
         f16 = T.resample(c, 11)
         c16 = SHTransform(11).forward(f16)
         assert np.abs(c16[:p + 1, 11 - p:11 + p + 1] - c).max() < 1e-12
-
-    def test_one_shot_helpers(self):
-        p = 4
-        c = random_real_coeffs(p, seed=9)
-        f = isht(c)
-        assert np.abs(sht(f) - c).max() < 1e-12
 
     @given(st.integers(min_value=2, max_value=9))
     @settings(max_examples=10, deadline=None)

@@ -110,7 +110,7 @@ class TestTransformsOfSurfaces:
         assert np.isclose(r.volume(), rbc.volume(), rtol=1e-10)
 
     def test_scaling(self):
-        s = unit_sphere(6).scaled(2.0)
+        s = SpectralSurface(2.0 * unit_sphere(6).X, 6)
         assert np.isclose(s.volume(), 4 / 3 * np.pi * 8, rtol=1e-10)
 
     def test_upsample_exact(self):

@@ -118,7 +118,7 @@ class TestFailureIsolation:
         ("serial", 1), ("process", 2)])
     def test_step_rejected_lands_as_failed_result(self, executor, workers):
         jobs = _jobs(3)
-        pol = ResilienceOptions(max_retries=1, backend_degradation=False)
+        pol = ResilienceOptions(max_retries=1)
         jobs[1] = dataclasses.replace(
             jobs[1],
             config=dataclasses.replace(jobs[1].config, resilience=pol),
